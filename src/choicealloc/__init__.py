@@ -27,6 +27,7 @@ from .experiments import (
     budget_for_target,
     paris_scenario,
     rule_comparison_table,
+    solution_table,
 )
 from .model import (
     Allocation,
@@ -85,6 +86,7 @@ __all__ = [
     "sample_choices",
     "solve_closed_form",
     "solve_numerical",
+    "solution_table",
     "surrogate_B",
     "unflatten",
 ]

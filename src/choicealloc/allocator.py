@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .model import (
     Allocation,
     Evaluation,
@@ -171,11 +170,11 @@ def best_gamma(
     rule: str,
     grid: tuple[float, ...] = DEFAULT_GAMMA_GRID,
 ) -> tuple[float, Evaluation]:
-    """Grid-search gamma for a heuristic rule, minimising overall probability.
+    """Grid-search gamma for a heuristic rule, minimising the surrogate B.
 
-    Ties break toward the smaller gamma. Grid points are evaluated
-    independently (optionally in parallel), so the result does not depend on
-    evaluation order.
+    B rather than the overall probability B / (1 + B), which rounds to 1.0
+    once B exceeds about 1e16 and would tie every grid point. Ties break
+    toward the smaller gamma, so the result does not depend on grid order.
     """
     rule = rule.lower()
     if rule not in RULES:
@@ -187,15 +186,13 @@ def best_gamma(
         _check_gamma(g)
     apply_rule = cle_rule if rule == "cle" else celp_rule
 
-    def run(gamma: float) -> tuple[float, Evaluation]:
-        return gamma, evaluate(scenario, apply_rule(scenario, gamma))
-
     best: tuple[float, Evaluation] | None = None
-    for gamma, evaluation in parallel_map(run, grid):
+    for gamma in grid:
+        evaluation = evaluate(scenario, apply_rule(scenario, gamma))
         if (
             best is None
-            or evaluation.overall < best[1].overall
-            or (evaluation.overall == best[1].overall and gamma < best[0])
+            or evaluation.surrogate < best[1].surrogate
+            or (evaluation.surrogate == best[1].surrogate and gamma < best[0])
         ):
             best = (gamma, evaluation)
     assert best is not None

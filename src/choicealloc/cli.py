@@ -26,12 +26,14 @@ from .experiments import (
     attractiveness_scaling_table,
     attractiveness_sweep,
     budget_for_target,
+    solution_table,
 )
 from .model import (
     Allocation,
     AllocationError,
     Scenario,
     ScenarioError,
+    check_feasible,
     evaluate,
     flatten,
 )
@@ -117,8 +119,6 @@ def _parse_allocation(raw: object, name: str, scenario: Scenario) -> Allocation:
         central[str(key)] = float(value)
     allocation = Allocation(local=local, central=central)
     # A named allocation must be usable as-is: keys matching and within budget.
-    from .model import check_feasible
-
     check_feasible(scenario, allocation)
     return allocation
 
@@ -280,20 +280,6 @@ def _emit(table: ExperimentTable, output: str) -> None:
         table.to_csv(sys.stdout)
 
 
-def _solution_table(name: str, scenario: Scenario, rows: list[tuple[str, Allocation]]) -> ExperimentTable:
-    from .experiments import _allocation_columns, _allocation_values, _probability_columns, _probability_values
-
-    columns = _allocation_columns(scenario) + _probability_columns(scenario)
-    built = []
-    for label, allocation in rows:
-        evaluation = evaluate(scenario, allocation)
-        values = _allocation_values(scenario, allocation) + _probability_values(
-            scenario, evaluation
-        )
-        built.append((label, tuple(values)))
-    return ExperimentTable(name=name, columns=tuple(columns), rows=tuple(built))
-
-
 def _named_allocation(scenario_file: ScenarioFile, name: str) -> Allocation:
     if name == "optimal":
         return solve_closed_form(scenario_file.scenario).allocation
@@ -313,7 +299,7 @@ def _cmd_solve(args) -> int:
         file=sys.stderr,
     )
     _emit(
-        _solution_table("solve", scenario_file.scenario, [("OPTIMAL", report.allocation)]),
+        solution_table("solve", scenario_file.scenario, [("OPTIMAL", report.allocation)]),
         args.output,
     )
     return EXIT_OK
@@ -323,7 +309,7 @@ def _cmd_evaluate(args) -> int:
     scenario_file = load_scenario(args.file)
     allocation = _named_allocation(scenario_file, args.allocation)
     _emit(
-        _solution_table("evaluate", scenario_file.scenario, [(args.allocation, allocation)]),
+        solution_table("evaluate", scenario_file.scenario, [(args.allocation, allocation)]),
         args.output,
     )
     return EXIT_OK
@@ -348,7 +334,7 @@ def _cmd_compare(args) -> int:
             apply_rule = cle_rule if rule == "cle" else celp_rule
             for gamma in gammas:
                 rows.append((f"{rule.upper()}({gamma!r})", apply_rule(scenario, gamma)))
-    _emit(_solution_table("compare", scenario, rows), args.output)
+    _emit(solution_table("compare", scenario, rows), args.output)
     return EXIT_OK
 
 

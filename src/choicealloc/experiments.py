@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
-from ._parallel import parallel_map
 from .allocator import (
     DEFAULT_GAMMA_GRID,
     SolveReport,
@@ -155,6 +154,24 @@ def _probability_values(scenario: Scenario, evaluation: Evaluation) -> list[floa
     return values
 
 
+def solution_table(
+    name: str, scenario: Scenario, rows: list[tuple[str, Allocation]]
+) -> ExperimentTable:
+    """One row per labelled allocation.
+
+    Each row holds the allocation's entries, then the per-location and the
+    overall hit probabilities in percent.
+    """
+    columns = _allocation_columns(scenario) + _probability_columns(scenario)
+    built = []
+    for label, allocation in rows:
+        evaluation = evaluate(scenario, allocation)
+        values = _allocation_values(scenario, allocation)
+        values += _probability_values(scenario, evaluation)
+        built.append((label, tuple(values)))
+    return ExperimentTable(name=name, columns=tuple(columns), rows=tuple(built))
+
+
 def rule_comparison_table(
     scenario: Scenario | None = None,
     gammas: tuple[float, ...] = DEFAULT_RULE_GAMMAS,
@@ -166,20 +183,10 @@ def rule_comparison_table(
     probabilities in percent.
     """
     scenario = scenario or paris_scenario()
-    columns = _allocation_columns(scenario) + _probability_columns(scenario)
-
-    def make_row(label: str, allocation: Allocation) -> tuple[str, tuple[float, ...]]:
-        evaluation = evaluate(scenario, allocation)
-        values = _allocation_values(scenario, allocation)
-        values += _probability_values(scenario, evaluation)
-        return label, tuple(values)
-
-    rows = [make_row("OPTIMAL", solve_closed_form(scenario).allocation)]
-    rows += [make_row(f"CLE({g!r})", cle_rule(scenario, g)) for g in gammas]
-    rows += [make_row(f"CELP({g!r})", celp_rule(scenario, g)) for g in gammas]
-    return ExperimentTable(
-        name="rule_comparison", columns=tuple(columns), rows=tuple(rows)
-    )
+    rows = [("OPTIMAL", solve_closed_form(scenario).allocation)]
+    rows += [(f"CLE({g!r})", cle_rule(scenario, g)) for g in gammas]
+    rows += [(f"CELP({g!r})", celp_rule(scenario, g)) for g in gammas]
+    return solution_table("rule_comparison", scenario, rows)
 
 
 def attractiveness_sweep(
@@ -224,7 +231,7 @@ def attractiveness_sweep(
         )
         return repr(a1), values
 
-    rows = parallel_map(run, spec.alpha_pairs)
+    rows = [run(pair) for pair in spec.alpha_pairs]
     return ExperimentTable(
         name="attractiveness_sweep",
         columns=(
@@ -283,7 +290,7 @@ def attractiveness_scaling_table(
         )
         return repr(k), tuple(values)
 
-    rows = parallel_map(run, spec.scale_factors)
+    rows = [run(k) for k in spec.scale_factors]
     return ExperimentTable(
         name="attractiveness_scaling", columns=tuple(columns), rows=tuple(rows)
     )

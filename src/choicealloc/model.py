@@ -38,10 +38,6 @@ POSITIVITY_FLOOR = 1e-12
 #: in constructed allocations.
 FEASIBILITY_SLACK = 1e-9
 
-#: Largest log-magnitude at which surrogate terms are evaluated with plain
-#: products; beyond it everything stays in the log domain (log-sum-exp).
-_LINEAR_DOMAIN_LIMIT = 300.0
-
 
 class ScenarioError(ValueError):
     """A scenario violates one of its invariants, or references an unknown id."""
@@ -181,23 +177,32 @@ class Evaluation:
 
 @dataclass(frozen=True)
 class _Design:
-    """Vectorised view of a scenario; entry order is the canonical flat order."""
+    """Vectorised view of a scenario; entry order is the canonical flat order.
+
+    The first L*K entries are the local ones, location-major, so location i's
+    local entries are row i of the (L, K) reshape; the C central entries
+    follow and enter every location's utility.
+    """
 
     local_keys: tuple[tuple[str, str], ...]
     central_keys: tuple[str, ...]
     alpha: np.ndarray       # per location
     beta: np.ndarray        # per entry
-    incidence: np.ndarray   # |locations| x n_entries, 1.0 where entry enters V_i
 
     @property
     def n_entries(self) -> int:
         return self.beta.size
 
+    @property
+    def local_shape(self) -> tuple[int, int]:
+        """(L, K): locations by local resources."""
+        n_loc = self.alpha.size
+        return n_loc, len(self.local_keys) // n_loc
+
 
 @lru_cache(maxsize=256)
 def _design(scenario: Scenario) -> _Design:
     n_loc = len(scenario.locations)
-    n_local = len(scenario.local_resources)
     local_keys = tuple(
         (loc, res) for loc in scenario.location_ids for res in scenario.local_ids
     )
@@ -206,12 +211,7 @@ def _design(scenario: Scenario) -> _Design:
     local_betas = [b for _, b in scenario.local_resources]
     central_betas = [b for _, b in scenario.central_resources]
     beta = np.array(local_betas * n_loc + central_betas, dtype=float)
-    n = beta.size
-    incidence = np.zeros((n_loc, n), dtype=float)
-    for i in range(n_loc):
-        incidence[i, i * n_local : (i + 1) * n_local] = 1.0
-        incidence[i, n_loc * n_local :] = 1.0
-    return _Design(local_keys, central_keys, alpha, beta, incidence)
+    return _Design(local_keys, central_keys, alpha, beta)
 
 
 def entry_keys(scenario: Scenario) -> list[tuple[str, str] | str]:
@@ -269,28 +269,16 @@ def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
 
 def _utilities(design: _Design, x: np.ndarray) -> np.ndarray:
     """Deterministic utilities V_i, which are also the log surrogate terms."""
-    return design.alpha - design.incidence @ (design.beta * np.log(x))
+    log_terms = design.beta * np.log(x)
+    n_local = len(design.local_keys)
+    local = log_terms[:n_local].reshape(design.local_shape).sum(axis=1)
+    return design.alpha - (local + log_terms[n_local:].sum())
 
 
-def _surrogate_terms_linear(design: _Design, x: np.ndarray) -> np.ndarray:
-    """Per-location surrogate terms via explicit products of powers.
-
-    Independent of the log route: exp(alpha_i) divided by the product of
-    x ** beta over the entries in location i's utility.
-    """
-    powers = x ** design.beta
-    denominators = np.prod(np.power(powers[None, :], design.incidence), axis=1)
-    return np.exp(design.alpha) / denominators
-
-
-def _linear_domain_ok(design: _Design, x: np.ndarray, utilities: np.ndarray) -> bool:
-    log_denoms = design.incidence @ (design.beta * np.log(x))
-    bound = _LINEAR_DOMAIN_LIMIT
-    return bool(
-        np.max(np.abs(utilities)) < bound
-        and np.max(design.alpha) < bound
-        and np.max(np.abs(log_denoms)) < bound
-    )
+def _log_sum_exp(v: np.ndarray) -> float:
+    """ln B = ln sum_i exp(V_i), shifted by the largest V so nothing overflows."""
+    top = float(np.max(v))
+    return top + math.log(float(np.sum(np.exp(v - top))))
 
 
 def _exp_or_inf(ln_value: float) -> float:
@@ -299,16 +287,24 @@ def _exp_or_inf(ln_value: float) -> float:
 
 
 def _surrogate_value(design: _Design, x: np.ndarray) -> float:
-    v = _utilities(design, x)
-    if _linear_domain_ok(design, x, v):
-        return float(np.sum(_surrogate_terms_linear(design, x)))
-    return _exp_or_inf(float(np.logaddexp.reduce(v)))
+    return _exp_or_inf(_log_sum_exp(_utilities(design, x)))
+
+
+def _containing_sums(design: _Design, terms: np.ndarray) -> np.ndarray:
+    """Per entry, the sum of the surrogate terms whose utility contains it.
+
+    A local entry appears only in its own location's term; a central entry
+    appears in every term, so its sum is B.
+    """
+    n_central = len(design.central_keys)
+    per_local = np.repeat(terms, design.local_shape[1])
+    return np.concatenate([per_local, np.full(n_central, terms.sum())])
 
 
 def _gradient_vector(design: _Design, x: np.ndarray) -> np.ndarray:
     """Gradient of the surrogate: -beta_k * (sum of terms containing k) / x_k."""
     terms = np.exp(_utilities(design, x))
-    return -design.beta * (design.incidence.T @ terms) / x
+    return -design.beta * _containing_sums(design, terms) / x
 
 
 def deterministic_utility(scenario: Scenario, allocation: Allocation, location: str) -> float:
@@ -350,33 +346,23 @@ def gradient_B(scenario: Scenario, allocation: Allocation) -> dict[tuple[str, st
 def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:
     """Choice probabilities and surrogate for a feasible allocation.
 
-    Probabilities come from the logit route (softmax over utilities and the
-    zero-utility opt-out), computed in the log domain for stability. The
-    surrogate comes from the product route whenever the terms fit comfortably
-    in double precision; the two routes agree to ~1e-15 relative and the
-    returned overall probability is surrogate / (1 + surrogate).
+    Everything comes from the utilities in the log domain: ln B is the
+    log-sum-exp of the utilities, the probabilities are the softmax over the
+    utilities and the zero-utility opt-out, and overall = B / (1 + B) is
+    exp(ln B - ln(1 + B)). The surrogate is exp(ln B), which saturates to inf
+    past the double range while the probabilities stay finite.
     """
     d = _check_keys(scenario, allocation)
     check_feasible(scenario, allocation)
-    x = flatten(scenario, allocation)
-    v = _utilities(d, x)
-    ln_b = float(np.logaddexp.reduce(v))
+    v = _utilities(d, flatten(scenario, allocation))
+    ln_b = _log_sum_exp(v)
     ln_denom = float(np.logaddexp(0.0, ln_b))
     per_location = np.exp(v - ln_denom)
-    opt_out = math.exp(-ln_denom)
-    if _linear_domain_ok(d, x, v):
-        surrogate = float(np.sum(_surrogate_terms_linear(d, x)))
-    else:
-        surrogate = _exp_or_inf(ln_b)
-    if math.isinf(surrogate):
-        overall = math.exp(ln_b - ln_denom)
-    else:
-        overall = surrogate / (1.0 + surrogate)
     ids = scenario.location_ids
     return Evaluation(
         per_location={i: float(p) for i, p in zip(ids, per_location)},
-        opt_out=opt_out,
-        overall=overall,
-        surrogate=surrogate,
+        opt_out=math.exp(-ln_denom),
+        overall=math.exp(ln_b - ln_denom),
+        surrogate=_exp_or_inf(ln_b),
         utilities={i: float(u) for i, u in zip(ids, v)},
     )

@@ -33,6 +33,7 @@ from .model import (
     AllocationError,
     FEASIBILITY_SLACK,
     Scenario,
+    _containing_sums,
     _design,
     _gradient_vector,
     _surrogate_value,
@@ -46,8 +47,9 @@ _MIN_STEP = 1e-30
 _MAX_STEP = 1e12
 _STALL_LIMIT = 256  # consecutive accepted steps with negligible progress
 #: Objective increases up to this relative amount are indistinguishable from
-#: evaluation round-off (a sum of positive products carries a few ulps of
-#: noise); such steps may still be accepted if they strictly shrink the
+#: evaluation round-off (B = exp(ln B) inherits the absolute round-off of the
+#: log-domain utilities, a few ulps of their log terms); such steps may still
+#: be accepted if they strictly shrink the
 #: gradient spread, which stays measurable long after B pins.
 _NOISE_ALLOWANCE = 1e-14
 
@@ -97,6 +99,29 @@ def _gradient_spread(g: np.ndarray) -> float:
     return float((np.max(g) - np.min(g)) / abs(mean))
 
 
+def _hessian(design, x: np.ndarray) -> np.ndarray:
+    """Analytic Hessian of B, dense, from the location structure.
+
+    H_kl = beta_k beta_l / (x_k x_l) * (sum of terms containing both k and l)
+    plus beta_k / x_k**2 * (sum of terms containing k) on the diagonal. Two
+    local entries share only their own location's term, and only if they
+    belong to the same location; a local and a central entry share the local
+    one's term; two central entries share every term, B.
+    """
+    terms = np.exp(_utilities(design, x))
+    containing = _containing_sums(design, terms)
+    n_loc, k = design.local_shape
+    n_local = n_loc * k
+    shared = np.zeros((x.size, x.size))
+    by_location = np.arange(n_local).reshape(n_loc, k)
+    shared[by_location[:, :, None], by_location[:, None, :]] = terms[:, None, None]
+    shared[:n_local, n_local:] = containing[:n_local, None]
+    shared[n_local:, :n_local] = containing[None, :n_local]
+    shared[n_local:, n_local:] = terms.sum()
+    scaled = design.beta / x
+    return np.outer(scaled, scaled) * shared + np.diag(scaled * containing / x)
+
+
 def _newton_polish(
     design, x: np.ndarray, budget: float, tolerance: float, max_steps: int = 50
 ) -> np.ndarray:
@@ -113,15 +138,8 @@ def _newton_polish(
         spread = _gradient_spread(g)
         if spread <= tolerance:
             break
-        terms = np.exp(_utilities(design, x))
-        resource_terms = design.incidence.T @ terms  # sum of terms containing entry k
-        cross = design.incidence.T @ (terms[:, None] * design.incidence)
-        hessian = (
-            np.outer(design.beta, design.beta) * cross / np.outer(x, x)
-            + np.diag(design.beta * resource_terms / x**2)
-        )
         bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = hessian
+        bordered[:n, :n] = _hessian(design, x)
         bordered[:n, n] = -1.0
         bordered[n, :n] = 1.0
         rhs = np.concatenate([-(g - np.mean(g)), [0.0]])

@@ -187,6 +187,15 @@ class TestBestGamma:
         assert gamma_cle == 0.17
         assert gamma_celp == 0.17
 
+    @pytest.mark.parametrize("budget", [0.01, 30.0, 1e4])
+    def test_best_gamma_is_budget_invariant(self, paris, budget):
+        # B(gamma) scales uniformly with the budget, so the argmin cannot move;
+        # at budget 0.01 B is near 1e19 and the overall probability reads 1.0.
+        scenario = dataclasses.replace(paris, budget=budget)
+        for rule in ("cle", "celp"):
+            gamma, _ = best_gamma(scenario, rule)
+            assert gamma == 0.17
+
     def test_symmetric_variant_value(self, paris):
         scenario = dataclasses.replace(
             paris, locations=(("louvre", 5.0), ("eiffel", 5.0))

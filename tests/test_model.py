@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -265,6 +266,26 @@ class TestSurrogate:
         assert surrogate_B(paris, doubled) > 0.0
         with pytest.raises(AllocationError):
             evaluate(paris, doubled)
+
+
+class TestScale:
+    def test_memory_is_linear_in_entries(self):
+        # 3000 locations, 2 local and 1 central resource: 6001 entries. A dense
+        # locations-by-entries design alone would take 144 MB.
+        scenario = Scenario(
+            locations=tuple((f"loc{i}", 1.0 + (i % 7) / 7.0) for i in range(3000)),
+            local_resources=(("cameras", 2.0), ("patrols", 1.5)),
+            central_resources=(("campaign", 1.0),),
+            budget=100.0,
+        )
+        tracemalloc.start()
+        try:
+            report = solve_closed_form(scenario)
+            evaluate(scenario, report.allocation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestGradient:

@@ -76,6 +76,17 @@ class TestNumericalSolve:
             got = flatten(scenario, solve_numerical(scenario).allocation)
             assert np.max(np.abs(got - expected) / expected) < 1e-6
 
+    def test_newton_corrector_on_random_structures(self):
+        # Three descent steps leave the corrector to do nearly all the work;
+        # the draws cover scenarios without local and without central resources.
+        rng = np.random.default_rng(2718)
+        for _ in range(40):
+            scenario = random_scenario(rng)
+            expected = flatten(scenario, solve_closed_form(scenario).allocation)
+            report = solve_numerical(scenario, OracleConfig(max_iterations=3))
+            got = flatten(scenario, report.allocation)
+            assert np.max(np.abs(got - expected) / expected) < 1e-6
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_iterations"):
             OracleConfig(max_iterations=0)
