@@ -2,9 +2,12 @@
 """Trust, but verify: the closed-form optimum versus a numerical solver.
 
 The closed form claims the global optimum of the convex surrogate. An
-independent mirror-descent oracle (with a Newton finish) minimises the same
-surrogate numerically from a uniform start, knowing nothing about the
-formula. On randomly drawn scenarios the two should coincide to many digits,
+independent oracle minimises the same surrogate numerically from a uniform
+start, knowing nothing about the formula: it solves the geometric program
+(Boyd, Kim, Vandenberghe & Hassibi, "A tutorial on geometric programming",
+Optim. Eng. 2007) by damped Newton steps on ln B in log coordinates (Boyd &
+Vandenberghe, Convex Optimization, sec. 10.2), after a few mirror-descent
+steps. On randomly drawn scenarios the two should coincide to many digits,
 and the gradient at the closed-form point should be constant across entries
 (the stationarity certificate).
 """

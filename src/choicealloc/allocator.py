@@ -41,12 +41,15 @@ class SolveReport:
         multiplier: the (negative) Lagrange multiplier on the budget plane.
         stationarity_residual: max |dB/dx_k - multiplier| over entries; at a
             true optimum every partial derivative equals the multiplier.
+        diagnostics: how an iterative solve went (see ``solve_numerical``);
+            None for the closed form.
     """
 
     allocation: Allocation
     evaluation: Evaluation
     multiplier: float
     stationarity_residual: float
+    diagnostics: dict | None = None
 
 
 def _check_gamma(gamma: float) -> float:

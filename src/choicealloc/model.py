@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,15 +107,16 @@ class Scenario:
         if not math.isfinite(self.budget) or self.budget <= 0:
             raise ScenarioError(f"budget must be finite and > 0, got {self.budget}")
 
-    @property
+    # Built once per scenario: evaluate and the rules read them on every call.
+    @cached_property
     def location_ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.locations)
 
-    @property
+    @cached_property
     def local_ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.local_resources)
 
-    @property
+    @cached_property
     def central_ids(self) -> tuple[str, ...]:
         return tuple(i for i, _ in self.central_resources)
 
@@ -267,12 +268,16 @@ def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
     return Allocation(local=local, central=central)
 
 
+def _location_sums(design: _Design, per_entry: np.ndarray) -> np.ndarray:
+    """Per location, the sum of a per-entry vector over the entries in its utility."""
+    n_local = len(design.local_keys)
+    local = per_entry[:n_local].reshape(design.local_shape).sum(axis=1)
+    return local + per_entry[n_local:].sum()
+
+
 def _utilities(design: _Design, x: np.ndarray) -> np.ndarray:
     """Deterministic utilities V_i, which are also the log surrogate terms."""
-    log_terms = design.beta * np.log(x)
-    n_local = len(design.local_keys)
-    local = log_terms[:n_local].reshape(design.local_shape).sum(axis=1)
-    return design.alpha - (local + log_terms[n_local:].sum())
+    return design.alpha - _location_sums(design, design.beta * np.log(x))
 
 
 def _log_sum_exp(v: np.ndarray) -> float:

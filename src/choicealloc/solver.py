@@ -1,29 +1,32 @@
 """Numerical oracle for the surrogate minimisation, independent of the closed form.
 
-Minimises the convex surrogate B over the scaled simplex {x > 0, sum(x) = R}
-with entropic mirror descent: multiplicative updates x <- x * exp(-eta * g)
-followed by rescaling onto the budget plane. The update keeps iterates
-strictly positive and on the plane by construction. Step sizes adapt by
-backtracking: halve on an objective increase, double after an accepted step,
-starting from 1.0 in the dual (log) coordinates.
+Minimising the posynomial B(x) = sum_i exp(alpha_i) / prod_k x_k ** beta_k on
+the budget plane sum(x) = R (spending everything is optimal) is a geometric
+program, convex in log coordinates (Boyd, Kim, Vandenberghe & Hassibi, "A
+tutorial on geometric programming", Optim. Eng. 2007). Write x = R * softmax(u),
+q = x / R, p = softmax(V) over the locations, A for the locations-by-entries
+betas and S for the betas in one location's utility. Then phi(u) = ln B has
+gradient S q - A^T p and Hessian S (diag q - q q^T) + A^T (diag p - p p^T) A.
+Adding S q q^T fixes the gauge u + c * 1 and leaves S diag q, plus p_i b b^T
+on location i's local block (b the local betas), minus one rank-one term, so
+a damped Newton step (Boyd & Vandenberghe, *Convex Optimization*, sec. 10.2)
+costs O(n) and builds no n x n array. Mirror-descent steps u <- u - grad phi
+come first while each lowers B by a factor e or more. Both phases backtrack
+on ln B with an Armijo test and, at its round-off floor, accept a step that
+shrinks the gradient spread instead.
 
-Using the full budget is known to be optimal, so restricting the search to the
-plane sum(x) = R loses nothing. At the constrained optimum every partial
-derivative of B takes a common value (the multiplier), which gives both the
-stopping rule and the reported certificate.
-
-On ill-conditioned instances first-order steps bottom out while the gradient
-spread is still well above tolerance: B goes flat to double precision across a
-basin the spread can still resolve. A damped Newton corrector on the
-stationarity equations (equal gradient components on the budget plane)
-finishes the job; it uses only the analytic Hessian of B, nothing from the
-closed-form solution.
+Only softmax weights enter, so the steps do not depend on shifting alpha or
+scaling the budget, and nothing comes from the closed form. At the optimum
+every partial derivative of B equals the multiplier; their relative spread is
+the stopping rule and the reported certificate.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,35 +39,41 @@ from .model import (
     _containing_sums,
     _design,
     _gradient_vector,
-    _surrogate_value,
-    _utilities,
+    _location_sums,
+    _log_sum_exp,
     evaluate,
     flatten,
     unflatten,
 )
 
-_MIN_STEP = 1e-30
-_MAX_STEP = 1e12
-_STALL_LIMIT = 256  # consecutive accepted steps with negligible progress
-#: Objective increases up to this relative amount are indistinguishable from
-#: evaluation round-off (B = exp(ln B) inherits the absolute round-off of the
-#: log-domain utilities, a few ulps of their log terms); such steps may still
-#: be accepted if they strictly shrink the
-#: gradient spread, which stays measurable long after B pins.
-_NOISE_ALLOWANCE = 1e-14
+_NEWTON_STEPS = 50  # cap on the Newton phase
+_HALVINGS = 40  # trial steps per line search: 1, 1/2, ..., 2**-39
+_ARMIJO = 1e-4  # fraction of the predicted decrease of ln B a step must achieve
+#: Mirror descent goes on while its full step is accepted and lowers ln B by
+#: at least this much, i.e. B by a factor e; nearer the optimum Newton is cheaper.
+_FIRST_ORDER_GAIN = 1.0
 
 
 class ConvergenceError(RuntimeError):
     """The oracle ran out of iterations or progress before reaching stationarity.
 
-    Carries the last iterate so callers can inspect how far the solve got.
+    Carries the last iterate so callers can inspect how far the solve got, and
+    the same ``diagnostics`` dict a successful solve puts in its report.
     """
 
-    def __init__(self, message: str, allocation: Allocation, residual: float, iterations: int):
+    def __init__(
+        self,
+        message: str,
+        allocation: Allocation,
+        residual: float,
+        iterations: int,
+        diagnostics: dict | None = None,
+    ):
         super().__init__(message)
         self.allocation = allocation
         self.residual = residual
         self.iterations = iterations
+        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -72,9 +81,10 @@ class OracleConfig:
     """Stopping and initialisation knobs for the numerical solve.
 
     Attributes:
-        max_iterations: hard cap on accepted descent steps.
-        objective_tolerance: relative decrease of B below which a step counts
-            as stalled; a long stall ends the solve.
+        max_iterations: cap on the mirror-descent steps; the Newton steps
+            that follow have their own cap of 50.
+        objective_tolerance: round-off floor of ln B relative to the size of
+            the utilities' terms; a step within it is judged by the spread.
         stationarity_tolerance: convergence threshold on the gradient spread
             (max - min) relative to |mean gradient|.
         initial_point: starting allocation; None means a uniform split of the
@@ -99,72 +109,85 @@ def _gradient_spread(g: np.ndarray) -> float:
     return float((np.max(g) - np.min(g)) / abs(mean))
 
 
-def _hessian(design, x: np.ndarray) -> np.ndarray:
-    """Analytic Hessian of B, dense, from the location structure.
+@dataclass(frozen=True)
+class _Point:
+    """One iterate and everything the oracle needs there."""
 
-    H_kl = beta_k beta_l / (x_k x_l) * (sum of terms containing both k and l)
-    plus beta_k / x_k**2 * (sum of terms containing k) on the diagonal. Two
-    local entries share only their own location's term, and only if they
-    belong to the same location; a local and a central entry share the local
-    one's term; two central entries share every term, B.
+    log_q: np.ndarray  # ln(x / R)
+    q: np.ndarray  # shares x / R
+    p: np.ndarray  # location choice weights softmax(V)
+    ln_b: float
+    gradient: np.ndarray  # of ln B in u
+    spread: float  # relative spread of B's gradient in x
+    floor: float  # round-off floor of ln B
+
+
+def _point(design, s: float, log_r: float, z: np.ndarray, tolerance: float) -> _Point | None:
+    """The iterate with shares softmax(z); None if a share underflows to zero."""
+    log_q = z - _log_sum_exp(z)
+    q = np.exp(log_q)
+    if not q.min() > 0.0:
+        return None
+    log_terms = design.beta * (log_r + log_q)
+    v = design.alpha - _location_sums(design, log_terms)
+    ln_b = _log_sum_exp(v)
+    p = np.exp(v - ln_b)
+    # A^T p: a local entry sits in its own location's utility, a central one in all.
+    a = design.beta * _containing_sums(design, p)
+    magnitude = float(np.max(design.alpha + _location_sums(design, np.abs(log_terms))))
+    return _Point(
+        log_q=log_q,
+        q=q,
+        p=p,
+        ln_b=ln_b,
+        gradient=s * q - a,
+        # B's gradient in x is -B * a / x, so its relative spread is that of a / q.
+        spread=_gradient_spread(a / q),
+        floor=tolerance * (1.0 + magnitude),
+    )
+
+
+def _newton_direction(design, s: float, point: _Point) -> np.ndarray:
+    """Solve (hess phi + S q q^T) d = -grad phi in O(n).
+
+    The matrix is D - v v^T: D is S diag q plus p_i b b^T on location i's
+    local block, and v holds p_i b on the local entries and 0 on the central
+    ones. D is inverted block by block with Sherman-Morrison, then the
+    rank-one term once more.
     """
-    terms = np.exp(_utilities(design, x))
-    containing = _containing_sums(design, terms)
     n_loc, k = design.local_shape
     n_local = n_loc * k
-    shared = np.zeros((x.size, x.size))
-    by_location = np.arange(n_local).reshape(n_loc, k)
-    shared[by_location[:, :, None], by_location[:, None, :]] = terms[:, None, None]
-    shared[:n_local, n_local:] = containing[:n_local, None]
-    shared[n_local:, :n_local] = containing[None, :n_local]
-    shared[n_local:, n_local:] = terms.sum()
-    scaled = design.beta / x
-    return np.outer(scaled, scaled) * shared + np.diag(scaled * containing / x)
+    b = design.beta[:k]
+    delta = s * point.q
+    v = np.zeros_like(delta)
+    v[:n_local] = (point.p[:, None] * b).ravel()
+    solved = np.stack([-point.gradient, v], axis=1) / delta[:, None]
+    if k:
+        local = solved[:n_local].reshape(n_loc, k, 2)
+        w = b / delta[:n_local].reshape(n_loc, k)
+        factor = point.p / (1.0 + point.p * (w @ b))
+        local -= w[:, :, None] * (factor[:, None] * (b @ local))[:, None, :]
+    y, z = solved[:, 0], solved[:, 1]
+    return y + z * ((v @ y) / (1.0 - v @ z))
 
 
-def _newton_polish(
-    design, x: np.ndarray, budget: float, tolerance: float, max_steps: int = 50
-) -> np.ndarray:
-    """Drive the gradient spread to tolerance with damped Newton steps.
-
-    Solves grad B(x) = lambda * 1 subject to sum(x) = budget via the bordered
-    system [[H, -1], [1^T, 0]]; H is the analytic Hessian of B. Steps are
-    damped to keep x strictly positive and accepted only if they shrink the
-    spread. Returns the improved point (always positive, always on the plane).
-    """
-    n = x.size
-    for _ in range(max_steps):
-        g = _gradient_vector(design, x)
-        spread = _gradient_spread(g)
-        if spread <= tolerance:
-            break
-        bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = _hessian(design, x)
-        bordered[:n, n] = -1.0
-        bordered[n, :n] = 1.0
-        rhs = np.concatenate([-(g - np.mean(g)), [0.0]])
-        try:
-            delta = np.linalg.solve(bordered, rhs)[:n]
-        except np.linalg.LinAlgError:
-            break
-        # Fraction-to-boundary damping keeps the iterate strictly positive.
-        tau = 1.0
-        shrinking = delta < 0.0
-        if np.any(shrinking):
-            tau = min(tau, float(0.9 * np.min(x[shrinking] / -delta[shrinking])))
-        improved = False
-        while tau > 1e-12:
-            x_new = x + tau * delta
-            if np.all(x_new > 0.0):
-                x_new *= budget / x_new.sum()
-                if _gradient_spread(_gradient_vector(design, x_new)) < spread:
-                    x = x_new
-                    improved = True
-                    break
-            tau *= 0.5
-        if not improved:
-            break
-    return x
+def _line_search(
+    at: Callable[[np.ndarray], _Point | None], point: _Point, direction: np.ndarray
+) -> tuple[_Point | None, int]:
+    """Backtrack from the full step; returns the accepted point and the trials made."""
+    slope = float(point.gradient @ direction)
+    if not slope < 0.0:
+        return None, 0
+    step = 1.0
+    for trial in range(1, _HALVINGS + 1):
+        new = at(point.log_q + step * direction)
+        if new is not None and (
+            new.ln_b <= point.ln_b + _ARMIJO * step * slope
+            or (new.ln_b <= point.ln_b + point.floor and new.spread < point.spread)
+        ):
+            return new, trial
+        step *= 0.5
+    return None, _HALVINGS
 
 
 def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> SolveReport:
@@ -172,96 +195,77 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
 
     The reported multiplier is the mean gradient component at the final
     iterate and the stationarity residual is the largest absolute deviation
-    from it.
+    from it. The report's ``diagnostics`` hold the steps of each phase, the
+    line-search trials, the final relative spread and the seconds per phase.
     """
     config = config or OracleConfig()
+    tolerance = config.stationarity_tolerance
     design = _design(scenario)
     r = scenario.budget
+    log_r = math.log(r)
+    s = float(_location_sums(design, design.beta)[0])  # the same for every location
+
+    def at(z: np.ndarray) -> _Point | None:
+        return _point(design, s, log_r, z, config.objective_tolerance)
 
     if config.initial_point is None:
         x = np.full(design.n_entries, r / design.n_entries)
     else:
         x = flatten(scenario, config.initial_point)
-        x = x * (r / x.sum())
+    start = time.perf_counter()
+    point = at(np.log(x))
+    first_order = newton = trials = 0
 
-    b_value = _surrogate_value(design, x)
-    eta = 1.0
-    stall = 0
-    iterations = 0
-    ln_r = math.log(r)
-
-    for iterations in range(1, config.max_iterations + 1):
-        g = _gradient_vector(design, x)
-        spread = _gradient_spread(g)
-        if spread <= config.stationarity_tolerance:
+    while first_order < config.max_iterations and point.spread > tolerance:
+        new, used = _line_search(at, point, -point.gradient)
+        trials += used
+        if new is None:
             break
-        log_x = np.log(x)
-
-        def try_step(step: float) -> tuple[np.ndarray, float, float] | None:
-            """One multiplicative update; None if it neither lowers B nor the spread."""
-            z = log_x - step * g
-            z -= z.max()
-            x_new = np.exp(z - math.log(float(np.exp(z).sum())) + ln_r)
-            b_new = _surrogate_value(design, x_new)
-            if b_new < b_value * (1.0 - _NOISE_ALLOWANCE):
-                return x_new, b_new, spread
-            # At the floor B differences drown in round-off; fall back to
-            # requiring a strictly smaller gradient spread.
-            if b_new <= b_value * (1.0 + _NOISE_ALLOWANCE) and np.all(x_new > 0.0):
-                spread_new = _gradient_spread(_gradient_vector(design, x_new))
-                if spread_new < spread:
-                    return x_new, b_new, spread_new
-            return None
-
-        # Line search over the step size: halve from the carried step, and if
-        # nothing is acceptable below it, probe upward instead (the terminal
-        # phase may need a far larger step than the descent phase did).
-        result = None
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            trial = eta
-            while trial >= _MIN_STEP:
-                result = try_step(trial)
-                if result is not None:
-                    break
-                trial *= 0.5
-            if result is None:
-                trial = eta * 2.0
-                while trial <= _MAX_STEP:
-                    result = try_step(trial)
-                    if result is not None:
-                        break
-                    trial *= 2.0
-        if result is None:
+        decrease = point.ln_b - new.ln_b
+        point = new
+        first_order += 1
+        if used > 1 or decrease < _FIRST_ORDER_GAIN:
             break
-        x_new, b_new, spread_new = result
-        relative_decrease = (b_value - b_new) / b_value
-        x, b_value = x_new, b_new
-        eta = min(trial * 2.0, _MAX_STEP)
-        if relative_decrease < config.objective_tolerance and spread_new > 0.995 * spread:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                break
-        else:
-            stall = 0
-    if _gradient_spread(_gradient_vector(design, x)) > config.stationarity_tolerance:
-        x = _newton_polish(design, x, r, config.stationarity_tolerance)
-    g = _gradient_vector(design, x)
-    spread = _gradient_spread(g)
+    handover = time.perf_counter()
+
+    while newton < _NEWTON_STEPS and point.spread > tolerance:
+        new, used = _line_search(at, point, _newton_direction(design, s, point))
+        trials += used
+        if new is None:
+            break
+        point = new
+        newton += 1
+
+    diagnostics = {
+        "first_order_steps": first_order,
+        "newton_steps": newton,
+        "line_search_trials": trials,
+        "relative_spread": point.spread,
+        "seconds": {
+            "first_order": handover - start,
+            "newton": time.perf_counter() - handover,
+        },
+    }
+    x = r * point.q
     allocation = unflatten(scenario, x)
-    if spread > config.stationarity_tolerance:
+    iterations = first_order + newton
+    if point.spread > tolerance:
         raise ConvergenceError(
             f"no stationary point within {iterations} iterations "
-            f"(gradient spread {spread:.3e} > {config.stationarity_tolerance:.3e})",
+            f"(gradient spread {point.spread:.3e} > {tolerance:.3e})",
             allocation=allocation,
-            residual=spread,
+            residual=point.spread,
             iterations=iterations,
+            diagnostics=diagnostics,
         )
+    g = _gradient_vector(design, x)
     multiplier = float(np.mean(g))
     return SolveReport(
         allocation=allocation,
         evaluation=evaluate(scenario, allocation),
         multiplier=multiplier,
         stationarity_residual=float(np.max(np.abs(g - multiplier))),
+        diagnostics=diagnostics,
     )
 
 

@@ -199,6 +199,31 @@ def test_c08_numerical_oracle_agrees_with_the_closed_form():
     assert time.perf_counter() - start < 30.0
 
 
+def test_c08_oracle_agrees_on_wide_parameter_ranges():
+    # Utilities far from 0, sensitivities over two decades and budgets over
+    # seven: the optimal B ranges from about 1e-80 to 1e20.
+    rng = np.random.default_rng(7)
+    start = time.perf_counter()
+    for _ in range(60):
+        scenario = random_scenario(
+            rng,
+            max_locations=8,
+            alpha_range=(0.0, 60.0),
+            beta_range=(0.05, 10.0),
+            budget_range=(1e-3, 1e4),
+        )
+        closed = solve_closed_form(scenario)
+        numerical = solve_numerical(scenario)
+        x_closed = flatten(scenario, closed.allocation)
+        x_numerical = flatten(scenario, numerical.allocation)
+        assert np.max(np.abs(x_numerical - x_closed) / x_closed) <= 1e-6
+        b_closed = closed.evaluation.surrogate
+        b_numerical = numerical.evaluation.surrogate
+        assert abs(b_numerical - b_closed) / b_closed <= 1e-9
+        assert kkt_residual(scenario, closed.allocation) <= 1e-8
+    assert time.perf_counter() - start < 30.0
+
+
 def test_c09_randomised_invariant_suite():
     test_properties.test_probabilities_lie_on_the_simplex()
     test_properties.test_overall_probability_routes_agree()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,32 @@ class TestNumericalSolve:
             OracleConfig(max_iterations=0)
         with pytest.raises(ValueError, match="tolerances"):
             OracleConfig(objective_tolerance=0.0)
+
+
+class TestScale:
+    def test_oracle_memory_is_linear_in_entries(self):
+        # 1000 locations, 3 local and 2 central resources in c08's ranges: 3002
+        # entries, so one dense entries-by-entries matrix alone takes 72 MB.
+        rng = np.random.default_rng(1)
+        alphas = rng.uniform(0.0, 8.0, 1000).tolist()
+        local_betas = rng.uniform(0.5, 4.0, 3).tolist()
+        central_betas = rng.uniform(0.5, 4.0, 2).tolist()
+        scenario = Scenario(
+            locations=tuple((f"loc{i}", a) for i, a in enumerate(alphas)),
+            local_resources=tuple((f"lr{j}", b) for j, b in enumerate(local_betas)),
+            central_resources=tuple((f"cr{j}", b) for j, b in enumerate(central_betas)),
+            budget=float(rng.uniform(1.0, 100.0)),
+        )
+        expected = flatten(scenario, solve_closed_form(scenario).allocation)
+        tracemalloc.start()
+        try:
+            report = solve_numerical(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        got = flatten(scenario, report.allocation)
+        assert np.max(np.abs(got - expected) / expected) < 1e-6
+        assert peak < 16 * 2**20
 
 
 class TestKktResidual:
