@@ -173,30 +173,25 @@ def best_gamma(
     rule: str,
     grid: tuple[float, ...] = DEFAULT_GAMMA_GRID,
 ) -> tuple[float, Evaluation]:
-    """Grid-search gamma for a heuristic rule, minimising the surrogate B.
+    """The grid gamma minimising the surrogate B for a heuristic rule.
 
-    B rather than the overall probability B / (1 + B), which rounds to 1.0
-    once B exceeds about 1e16 and would tie every grid point. Ties break
-    toward the smaller gamma, so the result does not depend on grid order.
+    Both rules give every central entry gamma times a constant and every local
+    entry (1 - gamma) times a constant, so for either rule ln B(gamma) = const
+    - (sum of central betas) * ln gamma - (sum of local betas) * ln(1 - gamma),
+    whatever alpha and the budget. The argmin of that score over the grid is
+    exact and stays defined where B overflows; ties go to the smaller gamma,
+    so grid order does not matter. The rule is applied and evaluated once, at
+    the chosen gamma.
     """
     rule = rule.lower()
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}, expected one of {RULES}")
-    grid = tuple(float(g) for g in grid)
-    if not grid:
+    gammas = np.sort([_check_gamma(g) for g in grid])  # argmin keeps the first minimum
+    if not gammas.size:
         raise ValueError("gamma grid must be nonempty")
-    for g in grid:
-        _check_gamma(g)
+    central = math.fsum(b for _, b in scenario.central_resources)
+    local = math.fsum(b for _, b in scenario.local_resources)
+    score = -central * np.log(gammas) - local * np.log(1.0 - gammas)
+    gamma = float(gammas[np.argmin(score)])
     apply_rule = cle_rule if rule == "cle" else celp_rule
-
-    best: tuple[float, Evaluation] | None = None
-    for gamma in grid:
-        evaluation = evaluate(scenario, apply_rule(scenario, gamma))
-        if (
-            best is None
-            or evaluation.surrogate < best[1].surrogate
-            or (evaluation.surrogate == best[1].surrogate and gamma < best[0])
-        ):
-            best = (gamma, evaluation)
-    assert best is not None
-    return best
+    return gamma, evaluate(scenario, apply_rule(scenario, gamma))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from choicealloc import (
@@ -14,12 +15,35 @@ from choicealloc import (
     paris_scenario,
     solve_closed_form,
 )
-from helpers import example_two
+from choicealloc.allocator import DEFAULT_GAMMA_GRID
+from helpers import example_two, random_scenario
 
 
 @pytest.fixture
 def paris():
     return paris_scenario()
+
+
+def _grid_search(scenario, rule, grid):
+    """best_gamma as one evaluate per grid point, smallest gamma on ties."""
+    apply_rule = cle_rule if rule == "cle" else celp_rule
+    best = None
+    for gamma in (float(g) for g in grid):
+        evaluation = evaluate(scenario, apply_rule(scenario, gamma))
+        if (
+            best is None
+            or evaluation.surrogate < best[1].surrogate
+            or (evaluation.surrogate == best[1].surrogate and gamma < best[0])
+        ):
+            best = (gamma, evaluation)
+    return best
+
+
+def _outcome(search, scenario, rule, grid):
+    try:
+        return search(scenario, rule, grid)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestClosedForm:
@@ -222,3 +246,51 @@ class TestBestGamma:
             best_gamma(paris, "cle", grid=())
         with pytest.raises(ValueError, match="gamma"):
             best_gamma(paris, "cle", grid=(0.5, 1.5))
+
+    @pytest.mark.parametrize(
+        "grid",
+        [DEFAULT_GAMMA_GRID, (0.5, 0.3, 0.7, 0.3), (0.42,), np.linspace(0.001, 0.999, 301)],
+        ids=["default", "unsorted", "single", "fine"],
+    )
+    def test_agrees_with_evaluating_every_grid_point(self, grid):
+        # Wide ranges; draws without both resource groups must fail the same way.
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            scenario = random_scenario(
+                rng,
+                max_locations=8,
+                alpha_range=(0.0, 60.0),
+                beta_range=(0.05, 10.0),
+                budget_range=(1e-3, 1e4),
+            )
+            for rule in ("cle", "celp"):
+                expected = _outcome(_grid_search, scenario, rule, grid)
+                assert _outcome(best_gamma, scenario, rule, grid) == expected
+
+    def test_exact_tie_goes_to_smaller_gamma(self):
+        scenario = Scenario(
+            locations=(("a", 1.0),),
+            local_resources=(("l", 1.0),),
+            central_resources=(("c", 1.0),),
+            budget=1.0,
+        )
+        for rule in ("cle", "celp"):
+            assert best_gamma(scenario, rule, grid=(0.6, 0.4))[0] == 0.4
+
+    def test_saturated_surrogate_still_finds_the_beta_share(self):
+        # B overflows to inf at every grid point, so comparing evaluations
+        # would tie everywhere; the score is least at sum(central beta) /
+        # sum(beta) = 0.4, where every utility is lower than at gamma = 0.01.
+        scenario = Scenario(
+            locations=(("a", 60.0), ("b", 1.0)),
+            local_resources=tuple((f"l{j}", 10.0) for j in range(3)),
+            central_resources=tuple((f"c{j}", 10.0) for j in range(2)),
+            budget=1e-5,
+        )
+        for rule, apply_rule in (("cle", cle_rule), ("celp", celp_rule)):
+            gamma, evaluation = best_gamma(scenario, rule)
+            assert gamma == 0.4
+            assert math.isinf(evaluation.surrogate)
+            smallest = evaluate(scenario, apply_rule(scenario, 0.01))
+            for loc, utility in evaluation.utilities.items():
+                assert utility < smallest.utilities[loc]

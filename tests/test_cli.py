@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestLoadScenario:
             load_scenario(str(path))
 
     def test_rejects_wrong_schema_version(self, tmp_path, paris_path):
-        payload = json.loads(open(paris_path).read())
+        payload = json.loads(Path(paris_path).read_text())
         payload["schema_version"] = 99
         path = tmp_path / "v99.json"
         path.write_text(json.dumps(payload))
@@ -59,7 +60,7 @@ class TestLoadScenario:
             load_scenario(str(path))
 
     def test_rejects_zero_beta(self, tmp_path, paris_path):
-        payload = json.loads(open(paris_path).read())
+        payload = json.loads(Path(paris_path).read_text())
         payload["local_resources"][0]["beta"] = 0.0
         path = tmp_path / "zero_beta.json"
         path.write_text(json.dumps(payload))
@@ -67,7 +68,7 @@ class TestLoadScenario:
             load_scenario(str(path))
 
     def test_rejects_duplicate_id_across_groups(self, tmp_path, paris_path):
-        payload = json.loads(open(paris_path).read())
+        payload = json.loads(Path(paris_path).read_text())
         payload["central_resources"][0]["id"] = "cameras"
         del payload["allocations"]
         path = tmp_path / "dupe.json"
@@ -225,7 +226,7 @@ class TestExitCodes:
         assert code == EXIT_INVALID_INPUT
 
     def test_invariant_violation_is_invalid_input(self, capsys, tmp_path, paris_path):
-        payload = json.loads(open(paris_path).read())
+        payload = json.loads(Path(paris_path).read_text())
         payload["budget"] = -1.0
         del payload["allocations"]
         path = tmp_path / "neg.json"
