@@ -19,10 +19,8 @@ from .model import (
     Allocation,
     Evaluation,
     Scenario,
-    _design,
     _gradient_vector,
     evaluate,
-    flatten,
 )
 
 #: Grid searched by default when tuning gamma for the heuristic rules.
@@ -68,22 +66,19 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     the stationarity residual certify optimality of the result; the residual
     is pure floating-point noise (at most ~1e-8 relative to the multiplier).
     """
+    d = scenario._design
     all_betas = [b for _, b in scenario.local_resources + scenario.central_resources]
     beta_sum = math.fsum(all_betas)
     local_beta_sum = math.fsum(b for _, b in scenario.local_resources)
     r = scenario.budget
 
-    alphas = np.array([a for _, a in scenario.locations], dtype=float)
-    scaled = alphas / (1.0 + local_beta_sum)
+    scaled = d.alpha / (1.0 + local_beta_sum)
     shares = np.exp(scaled - scaled.max())
     shares /= shares.sum()
 
-    local = {}
-    for i, loc in enumerate(scenario.location_ids):
-        for res, beta in scenario.local_resources:
-            local[(loc, res)] = beta * r / beta_sum * float(shares[i])
-    central = {res: beta * r / beta_sum for res, beta in scenario.central_resources}
-    allocation = Allocation(local=local, central=central)
+    x = d.beta * r / beta_sum
+    x[: d.n_local] *= np.repeat(shares, d.local_shape[1])
+    allocation = Allocation._from_vector(d, x)
 
     # Multiplier from the stationarity condition, assembled in the log domain
     # because R ** (1 + sum beta) overflows quickly.
@@ -95,7 +90,7 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     )
     multiplier = -math.exp(ln_lam)
 
-    g = _gradient_vector(_design(scenario), flatten(scenario, allocation))
+    g = _gradient_vector(d, x)
     residual = float(np.max(np.abs(g - multiplier)))
     return SolveReport(
         allocation=allocation,
@@ -118,14 +113,7 @@ def cle_rule(scenario: Scenario, gamma: float) -> Allocation:
     n_pairs = len(scenario.locations) * len(scenario.local_resources)
     central_amount = gamma * r / len(scenario.central_resources)
     local_amount = (1.0 - gamma) * r / n_pairs
-    return Allocation(
-        local={
-            (loc, res): local_amount
-            for loc in scenario.location_ids
-            for res in scenario.local_ids
-        },
-        central={res: central_amount for res in scenario.central_ids},
-    )
+    return _rule_allocation(scenario, local_amount, central_amount)
 
 
 def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
@@ -138,26 +126,31 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
     """
     gamma = _check_gamma(gamma)
     _require_both_groups(scenario, "CELP")
-    alpha_total = math.fsum(a for _, a in scenario.locations)
+    alpha = scenario._design.alpha
+    alpha_total = math.fsum(alpha)
     if alpha_total <= 0.0:
         raise ValueError("CELP is undefined when every location has zero attractiveness")
-    for loc, alpha in scenario.locations:
-        if alpha <= 0.0:
-            raise ValueError(
-                f"CELP would allocate nothing to location {loc!r} (alpha = {alpha})"
-            )
+    zero = np.flatnonzero(alpha <= 0.0)
+    if zero.size:
+        i = int(zero[0])
+        raise ValueError(
+            f"CELP would allocate nothing to location {scenario.location_ids[i]!r} "
+            f"(alpha = {float(alpha[i])})"
+        )
     r = scenario.budget
     per_resource = (1.0 - gamma) * r / len(scenario.local_resources)
     central_amount = gamma * r / len(scenario.central_resources)
-    weights = {loc: alpha / alpha_total for loc, alpha in scenario.locations}
-    return Allocation(
-        local={
-            (loc, res): per_resource * weights[loc]
-            for loc in scenario.location_ids
-            for res in scenario.local_ids
-        },
-        central={res: central_amount for res in scenario.central_ids},
-    )
+    return _rule_allocation(scenario, per_resource * (alpha / alpha_total), central_amount)
+
+
+def _rule_allocation(scenario: Scenario, local: float | np.ndarray, central: float) -> Allocation:
+    """Central on every central entry, and local[i] on each of location i's
+    local entries (or local on all of them, when it is one number)."""
+    d = scenario._design
+    n_loc, k = d.local_shape
+    x = np.full(d.n_entries, central)
+    x[: d.n_local] = np.repeat(np.broadcast_to(local, n_loc), k)
+    return Allocation._from_vector(d, x)
 
 
 def _require_both_groups(scenario: Scenario, rule: str) -> None:

@@ -20,13 +20,18 @@ where the surrogate
 is convex in x even though the hit probability itself is not. Minimising B
 therefore minimises the hit probability, and everything downstream (the
 closed-form solver, the numerical oracle) works on B.
+
+An allocation is stored as one flat vector in the scenario's canonical entry
+order (see :func:`entry_keys`); its ``local`` and ``central`` dicts are built
+on first read. :func:`flatten` and :func:`unflatten` copy, so no caller holds
+an allocation's own vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -125,36 +130,82 @@ class Scenario:
         """Number of allocation entries: |locations|*|local| + |central|."""
         return len(self.locations) * len(self.local_resources) + len(self.central_resources)
 
+    @cached_property
+    def _design(self) -> _Design:
+        alpha = np.array([a for _, a in self.locations], dtype=float)
+        local_betas = np.tile([b for _, b in self.local_resources], len(self.locations))
+        beta = np.concatenate([local_betas, [b for _, b in self.central_resources]])
+        return _Design(self.location_ids, self.local_ids, self.central_ids, alpha, beta)
 
-@dataclass(frozen=True)
+
 class Allocation:
     """A strictly positive budget split.
 
     Attributes:
         local: (location-id, local-resource-id) -> amount.
         central: central-resource-id -> amount.
+        total: sum of the local entries, then the central ones, in dict order.
 
+    The stored form is the flat vector in a scenario design's canonical entry
+    order, and the dicts are built on first read. An allocation built from
+    dicts gets its vector when it first meets a scenario, after the key check.
     Positivity is enforced here; key agreement with a scenario and the budget
-    bound are checked by the operations that take a scenario.
+    bound are checked by the operations that take a scenario. Allocations are
+    immutable and, like their dicts, unhashable.
     """
 
-    local: dict[tuple[str, str], float]
-    central: dict[str, float]
+    __hash__ = None
 
-    def __post_init__(self) -> None:
-        local = {(str(i), str(j)): float(v) for (i, j), v in self.local.items()}
-        central = {str(j): float(v) for j, v in self.central.items()}
-        object.__setattr__(self, "local", local)
-        object.__setattr__(self, "central", central)
-        for key, value in list(local.items()) + list(central.items()):
-            if not math.isfinite(value) or value < POSITIVITY_FLOOR:
-                raise AllocationError(
-                    f"entry {key!r} must be at least {POSITIVITY_FLOOR}, got {value}"
-                )
+    def __init__(self, local: dict[tuple[str, str], float], central: dict[str, float]):
+        local = {(str(i), str(j)): float(v) for (i, j), v in local.items()}
+        central = {str(j): float(v) for j, v in central.items()}
+        x = np.array([*local.values(), *central.values()])
+        total = _checked_total(lambda: [*local, *central], x, len(local))
+        self.__dict__.update(local=local, central=central, total=total, _design=None, _x=None)
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.local.values()) + sum(self.central.values()))
+    @classmethod
+    def _from_vector(cls, design: _Design, x: np.ndarray) -> Allocation:
+        """The allocation whose entries are x, in design's order; x is kept, not copied."""
+        total = _checked_total(lambda: design.local_keys + design.central_keys, x, design.n_local)
+        allocation = cls.__new__(cls)
+        allocation.__dict__.update(total=total, _design=design, _x=x)
+        return allocation
+
+    @cached_property
+    def local(self) -> dict[tuple[str, str], float]:
+        return dict(zip(self._design.local_keys, self._x[: self._design.n_local].tolist()))
+
+    @cached_property
+    def central(self) -> dict[str, float]:
+        return dict(zip(self._design.central_keys, self._x[self._design.n_local :].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Allocation):
+            return NotImplemented
+        return (self.local, self.central) == (other.local, other.central)
+
+    def __repr__(self) -> str:
+        return f"Allocation(local={self.local!r}, central={self.central!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _checked_total(keys, x: np.ndarray, n_local: int) -> float:
+    """Sum of x's first n_local entries plus the sum of the rest, each added one
+    at a time as sum() does; raises naming keys()[k] for the first entry k that
+    is not finite and at least POSITIVITY_FLOOR."""
+    bad = np.flatnonzero(~(np.isfinite(x) & (x >= POSITIVITY_FLOOR)))
+    if bad.size:
+        k = int(bad[0])
+        raise AllocationError(
+            f"entry {keys()[k]!r} must be at least {POSITIVITY_FLOOR}, got {float(x[k])}"
+        )
+    # cumsum adds in turn; [-1:].sum() is its last value, or 0.0 when empty.
+    return float(np.cumsum(x[:n_local])[-1:].sum() + np.cumsum(x[n_local:])[-1:].sum())
 
 
 @dataclass(frozen=True)
@@ -185,10 +236,20 @@ class _Design:
     follow and enter every location's utility.
     """
 
-    local_keys: tuple[tuple[str, str], ...]
+    location_ids: tuple[str, ...]
+    local_ids: tuple[str, ...]
     central_keys: tuple[str, ...]
     alpha: np.ndarray       # per location
     beta: np.ndarray        # per entry
+
+    @cached_property
+    def local_keys(self) -> tuple[tuple[str, str], ...]:
+        """Built on first use; the vector paths never need it."""
+        return tuple((loc, res) for loc in self.location_ids for res in self.local_ids)
+
+    @property
+    def n_local(self) -> int:
+        return len(self.location_ids) * len(self.local_ids)
 
     @property
     def n_entries(self) -> int:
@@ -197,32 +258,24 @@ class _Design:
     @property
     def local_shape(self) -> tuple[int, int]:
         """(L, K): locations by local resources."""
-        n_loc = self.alpha.size
-        return n_loc, len(self.local_keys) // n_loc
-
-
-@lru_cache(maxsize=256)
-def _design(scenario: Scenario) -> _Design:
-    n_loc = len(scenario.locations)
-    local_keys = tuple(
-        (loc, res) for loc in scenario.location_ids for res in scenario.local_ids
-    )
-    central_keys = scenario.central_ids
-    alpha = np.array([a for _, a in scenario.locations], dtype=float)
-    local_betas = [b for _, b in scenario.local_resources]
-    central_betas = [b for _, b in scenario.central_resources]
-    beta = np.array(local_betas * n_loc + central_betas, dtype=float)
-    return _Design(local_keys, central_keys, alpha, beta)
+        return len(self.location_ids), len(self.local_ids)
 
 
 def entry_keys(scenario: Scenario) -> list[tuple[str, str] | str]:
     """Canonical flat entry order: local pairs location-major, then central ids."""
-    d = _design(scenario)
+    d = scenario._design
     return list(d.local_keys) + list(d.central_keys)
 
 
-def _check_keys(scenario: Scenario, allocation: Allocation) -> _Design:
-    d = _design(scenario)
+def _vector(scenario: Scenario, allocation: Allocation) -> tuple[_Design, np.ndarray]:
+    """The scenario's design and the allocation's own vector in that design's order.
+
+    An allocation built on this design passes by identity; any other is key
+    checked once and keeps its vector for this design.
+    """
+    d = scenario._design
+    if allocation._design is d:
+        return d, allocation._x
     if set(allocation.local) != set(d.local_keys):
         missing = set(d.local_keys) - set(allocation.local)
         extra = set(allocation.local) - set(d.local_keys)
@@ -235,12 +288,15 @@ def _check_keys(scenario: Scenario, allocation: Allocation) -> _Design:
         raise AllocationError(
             f"central keys do not match scenario (missing {sorted(missing)}, extra {sorted(extra)})"
         )
-    return d
+    x = np.array([*map(allocation.local.get, d.local_keys),
+                  *map(allocation.central.get, d.central_keys)])
+    allocation.__dict__.update(_design=d, _x=x)
+    return d, x
 
 
 def check_feasible(scenario: Scenario, allocation: Allocation) -> None:
     """Raise unless the allocation matches the scenario's keys and fits the budget."""
-    _check_keys(scenario, allocation)
+    _vector(scenario, allocation)
     slack = FEASIBILITY_SLACK * scenario.budget
     if allocation.total > scenario.budget + slack:
         raise AllocationError(
@@ -249,28 +305,22 @@ def check_feasible(scenario: Scenario, allocation: Allocation) -> None:
 
 
 def flatten(scenario: Scenario, allocation: Allocation) -> np.ndarray:
-    """Allocation as a vector in canonical entry order."""
-    d = _check_keys(scenario, allocation)
-    values = [allocation.local[k] for k in d.local_keys]
-    values += [allocation.central[k] for k in d.central_keys]
-    return np.array(values, dtype=float)
+    """Allocation as a new vector in canonical entry order."""
+    return _vector(scenario, allocation)[1].copy()
 
 
 def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
-    """Inverse of :func:`flatten`."""
-    d = _design(scenario)
-    x = np.asarray(x, dtype=float)
+    """Inverse of :func:`flatten`; the allocation keeps a copy of x."""
+    d = scenario._design
+    x = np.array(x, dtype=float)
     if x.shape != (d.n_entries,):
         raise AllocationError(f"expected vector of length {d.n_entries}, got shape {x.shape}")
-    n_local = len(d.local_keys)
-    local = {k: float(v) for k, v in zip(d.local_keys, x[:n_local])}
-    central = {k: float(v) for k, v in zip(d.central_keys, x[n_local:])}
-    return Allocation(local=local, central=central)
+    return Allocation._from_vector(d, x)
 
 
 def _location_sums(design: _Design, per_entry: np.ndarray) -> np.ndarray:
     """Per location, the sum of a per-entry vector over the entries in its utility."""
-    n_local = len(design.local_keys)
+    n_local = design.n_local
     local = per_entry[:n_local].reshape(design.local_shape).sum(axis=1)
     return local + per_entry[n_local:].sum()
 
@@ -316,7 +366,7 @@ def deterministic_utility(scenario: Scenario, allocation: Allocation, location: 
     """V at one location: alpha minus beta-weighted logs of the relevant entries."""
     if location not in scenario.location_ids:
         raise ScenarioError(f"unknown location id {location!r}")
-    _check_keys(scenario, allocation)
+    _vector(scenario, allocation)
     alpha = dict(scenario.locations)[location]
     v = alpha
     for res, beta in scenario.local_resources:
@@ -332,8 +382,7 @@ def surrogate_B(scenario: Scenario, allocation: Allocation) -> float:
     Requires positive entries matching the scenario; the budget bound is not
     needed here (B is defined on all positive allocations).
     """
-    d = _check_keys(scenario, allocation)
-    return _surrogate_value(d, flatten(scenario, allocation))
+    return _surrogate_value(*_vector(scenario, allocation))
 
 
 def gradient_B(scenario: Scenario, allocation: Allocation) -> dict[tuple[str, str] | str, float]:
@@ -342,10 +391,8 @@ def gradient_B(scenario: Scenario, allocation: Allocation) -> dict[tuple[str, st
     For a local entry the derivative is -beta * term_i / x; for a central
     entry it is -beta * B / x. Every component is strictly negative.
     """
-    d = _check_keys(scenario, allocation)
-    g = _gradient_vector(d, flatten(scenario, allocation))
-    keys = list(d.local_keys) + list(d.central_keys)
-    return {k: float(v) for k, v in zip(keys, g)}
+    g = _gradient_vector(*_vector(scenario, allocation))
+    return dict(zip(entry_keys(scenario), g.tolist()))
 
 
 def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:
@@ -357,17 +404,16 @@ def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:
     exp(ln B - ln(1 + B)). The surrogate is exp(ln B), which saturates to inf
     past the double range while the probabilities stay finite.
     """
-    d = _check_keys(scenario, allocation)
     check_feasible(scenario, allocation)
-    v = _utilities(d, flatten(scenario, allocation))
+    v = _utilities(*_vector(scenario, allocation))
     ln_b = _log_sum_exp(v)
     ln_denom = float(np.logaddexp(0.0, ln_b))
     per_location = np.exp(v - ln_denom)
     ids = scenario.location_ids
     return Evaluation(
-        per_location={i: float(p) for i, p in zip(ids, per_location)},
+        per_location=dict(zip(ids, per_location.tolist())),
         opt_out=math.exp(-ln_denom),
         overall=math.exp(ln_b - ln_denom),
         surrogate=_exp_or_inf(ln_b),
-        utilities={i: float(u) for i, u in zip(ids, v)},
+        utilities=dict(zip(ids, v.tolist())),
     )

@@ -37,13 +37,12 @@ from .model import (
     FEASIBILITY_SLACK,
     Scenario,
     _containing_sums,
-    _design,
     _gradient_vector,
     _location_sums,
     _log_sum_exp,
+    _vector,
     evaluate,
     flatten,
-    unflatten,
 )
 
 _NEWTON_STEPS = 50  # cap on the Newton phase
@@ -200,7 +199,7 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
     """
     config = config or OracleConfig()
     tolerance = config.stationarity_tolerance
-    design = _design(scenario)
+    design = scenario._design
     r = scenario.budget
     log_r = math.log(r)
     s = float(_location_sums(design, design.beta)[0])  # the same for every location
@@ -247,7 +246,7 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
         },
     }
     x = r * point.q
-    allocation = unflatten(scenario, x)
+    allocation = Allocation._from_vector(design, x)
     iterations = first_order + newton
     if point.spread > tolerance:
         raise ConvergenceError(
@@ -276,12 +275,12 @@ def kkt_residual(scenario: Scenario, allocation: Allocation) -> float:
     Zero (up to round-off) characterises the optimum; any other full-budget
     point has a strictly positive residual.
     """
-    x = flatten(scenario, allocation)
+    design, x = _vector(scenario, allocation)
     total = float(x.sum())
     if abs(total - scenario.budget) > FEASIBILITY_SLACK * scenario.budget:
         raise AllocationError(
             f"kkt_residual needs a full-budget allocation; total {total} != {scenario.budget}"
         )
-    g = _gradient_vector(_design(scenario), x)
+    g = _gradient_vector(design, x)
     mean = float(np.mean(g))
     return float(np.max(np.abs(g - mean)) / abs(mean))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from choicealloc import (
     evaluate,
     flatten,
     gradient_B,
+    kkt_residual,
     paris_scenario,
     solve_closed_form,
     surrogate_B,
@@ -287,6 +290,32 @@ class TestScale:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
+    def test_closed_form_memory_at_1e5_locations(self):
+        # 100 000 locations, 3 local and 2 central resources in c08's ranges:
+        # 300 002 entries. One dict entry and one float object per entry, as a
+        # dict-keyed allocation keeps, already take about 30 MB.
+        rng = np.random.default_rng(1)
+        alphas = rng.uniform(0.0, 8.0, 100_000).tolist()
+        local_betas = rng.uniform(0.5, 4.0, 3).tolist()
+        central_betas = rng.uniform(0.5, 4.0, 2).tolist()
+        scenario = Scenario(
+            locations=tuple((f"loc{i}", a) for i, a in enumerate(alphas)),
+            local_resources=tuple((f"lr{j}", b) for j, b in enumerate(local_betas)),
+            central_resources=tuple((f"cr{j}", b) for j, b in enumerate(central_betas)),
+            budget=float(rng.uniform(1.0, 100.0)),
+        )
+        tracemalloc.start()
+        try:
+            report = solve_closed_form(scenario)
+            evaluate(scenario, report.allocation)
+            residual = kkt_residual(scenario, report.allocation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-8
+        assert report.allocation.total == pytest.approx(scenario.budget, rel=1e-12)
+        assert peak < 48 * 2**20
+
 
 class TestGradient:
     def test_unit_entry_value(self):
@@ -344,3 +373,67 @@ class TestFlattening:
     def test_unflatten_rejects_bad_shape(self, paris):
         with pytest.raises(AllocationError, match="length"):
             unflatten(paris, np.ones(3))
+
+
+class TestVectorBackedAllocation:
+    """Allocations built from a vector behave like those built from dicts."""
+
+    def test_equal_to_dict_built_both_ways(self, paris, paris_plan):
+        from_vector = unflatten(paris, flatten(paris, paris_plan))
+        assert from_vector == paris_plan
+        assert paris_plan == from_vector
+        assert not from_vector != paris_plan
+        assert from_vector.local == paris_plan.local
+        assert from_vector.central == paris_plan.central
+        assert from_vector.total == paris_plan.total
+        optimum = solve_closed_form(paris).allocation
+        rebuilt = Allocation(local=dict(optimum.local), central=dict(optimum.central))
+        assert rebuilt == optimum and optimum == rebuilt
+        assert repr(rebuilt) == repr(optimum)
+        assert unflatten(paris, flatten(paris, optimum)) == optimum
+        assert optimum != paris_plan
+
+    def test_flatten_and_unflatten_copy(self, paris, paris_plan):
+        allocation = unflatten(paris, flatten(paris, paris_plan))
+        x = flatten(paris, allocation)
+        x[:] = 1.0
+        assert flatten(paris, allocation).tolist() == [3.0, 6.0, 2.0, 4.0, 15.0]
+        source = np.array([3.0, 6.0, 2.0, 4.0, 15.0])
+        allocation = unflatten(paris, source)
+        source[:] = -1.0
+        assert allocation == paris_plan
+        assert evaluate(paris, allocation) == evaluate(paris, paris_plan)
+
+    def test_unflatten_rejects_nonpositive_entries(self, paris):
+        key = entry_keys(paris)[2]
+        for value in (0.0, -1.0, 1e-13, math.nan, math.inf):
+            x = np.full(paris.n_entries, 1.0)
+            x[2] = value
+            with pytest.raises(AllocationError, match=re.escape(repr(key))):
+                unflatten(paris, x)
+        x = np.full(paris.n_entries, 1.0)
+        x[2] = 1e-12
+        assert unflatten(paris, x).local[key] == 1e-12
+
+    def test_immutable_and_unhashable(self, paris, paris_plan):
+        for allocation in (paris_plan, unflatten(paris, flatten(paris, paris_plan))):
+            with pytest.raises(AttributeError):
+                allocation.local = {}
+            with pytest.raises(AttributeError):
+                allocation.total = 0.0
+            with pytest.raises(TypeError):
+                hash(allocation)
+
+    def test_key_check_against_another_scenario(self, paris, paris_plan):
+        from_vector = unflatten(paris, flatten(paris, paris_plan))
+        renamed = dataclasses.replace(
+            paris, locations=(("louvre", paris.locations[0][1]), ("notre-dame", 6.0))
+        )
+        with pytest.raises(AllocationError, match="local keys") as vector_error:
+            evaluate(renamed, from_vector)
+        with pytest.raises(AllocationError) as dict_error:
+            evaluate(renamed, Allocation(local=dict(paris_plan.local), central={"campaign": 15.0}))
+        assert str(vector_error.value) == str(dict_error.value)
+        richer = dataclasses.replace(paris, budget=2 * paris.budget)
+        assert evaluate(richer, from_vector) == evaluate(paris, from_vector)
+        assert evaluate(paris, from_vector) == evaluate(paris, paris_plan)
