@@ -19,14 +19,13 @@ from .model import (
     Allocation,
     Evaluation,
     Scenario,
-    _gradient_vector,
+    _exp_or_inf,
+    _log_gradient,
     evaluate,
 )
 
 #: Grid searched by default when tuning gamma for the heuristic rules.
 DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(g / 100 for g in range(1, 100))
-
-RULES = ("cle", "celp")
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,9 @@ class SolveReport:
         evaluation: probabilities and surrogate at the solution.
         multiplier: the (negative) Lagrange multiplier on the budget plane.
         stationarity_residual: max |dB/dx_k - multiplier| over entries; at a
-            true optimum every partial derivative equals the multiplier.
+            true optimum every partial derivative equals the multiplier. It
+            is absolute, so it scales with |multiplier|, and it is inf (or 0)
+            where B overflows; ``kkt_residual`` is the scale-free check.
         diagnostics: how an iterative solve went (see ``solve_numerical``);
             None for the closed form.
     """
@@ -65,20 +66,21 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     weights softmax(alpha_i / (1 + sum of local betas)). The multiplier and
     the stationarity residual certify optimality of the result; the residual
     is pure floating-point noise (at most ~1e-8 relative to the multiplier).
+    Past the double range the multiplier saturates to -inf, as the surrogate
+    saturates to inf, and the residual is then inf unless it is exactly 0.
     """
-    d = scenario._design
     all_betas = [b for _, b in scenario.local_resources + scenario.central_resources]
     beta_sum = math.fsum(all_betas)
     local_beta_sum = math.fsum(b for _, b in scenario.local_resources)
     r = scenario.budget
 
-    scaled = d.alpha / (1.0 + local_beta_sum)
+    scaled = scenario._alpha / (1.0 + local_beta_sum)
     shares = np.exp(scaled - scaled.max())
     shares /= shares.sum()
 
-    x = d.beta * r / beta_sum
-    x[: d.n_local] *= np.repeat(shares, d.local_shape[1])
-    allocation = Allocation._from_vector(d, x)
+    x = scenario._beta * r / beta_sum
+    x[: scenario._n_local] *= np.repeat(shares, scenario._local_shape[1])
+    allocation = Allocation._from_vector(scenario, x)
 
     # Multiplier from the stationarity condition, assembled in the log domain
     # because R ** (1 + sum beta) overflows quickly.
@@ -88,16 +90,21 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
         + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))
         - math.fsum(b * math.log(b) for b in all_betas)
     )
-    multiplier = -math.exp(ln_lam)
-
-    g = _gradient_vector(d, x)
-    residual = float(np.max(np.abs(g - multiplier)))
+    ln_b, gradient = _log_gradient(scenario, x)
     return SolveReport(
         allocation=allocation,
         evaluation=evaluate(scenario, allocation),
-        multiplier=multiplier,
-        stationarity_residual=residual,
+        multiplier=-_exp_or_inf(ln_lam),
+        stationarity_residual=_stationarity_residual(ln_b, gradient, _exp_or_inf(ln_lam - ln_b)),
     )
+
+
+def _stationarity_residual(ln_b: float, gradient: np.ndarray, level: float) -> float:
+    """max_k |dB/dx_k - multiplier| for the multiplier -B * level, where B's
+    gradient is -B * gradient: B * max_k |gradient_k - level|. It is 0 when
+    that maximum is, so a saturated B gives inf or 0, never nan."""
+    deviation = float(np.max(np.abs(gradient - level)))
+    return _exp_or_inf(ln_b) * deviation if deviation else 0.0
 
 
 def cle_rule(scenario: Scenario, gamma: float) -> Allocation:
@@ -126,7 +133,7 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
     """
     gamma = _check_gamma(gamma)
     _require_both_groups(scenario, "CELP")
-    alpha = scenario._design.alpha
+    alpha = scenario._alpha
     alpha_total = math.fsum(alpha)
     if alpha_total <= 0.0:
         raise ValueError("CELP is undefined when every location has zero attractiveness")
@@ -146,11 +153,10 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
 def _rule_allocation(scenario: Scenario, local: float | np.ndarray, central: float) -> Allocation:
     """Central on every central entry, and local[i] on each of location i's
     local entries (or local on all of them, when it is one number)."""
-    d = scenario._design
-    n_loc, k = d.local_shape
-    x = np.full(d.n_entries, central)
-    x[: d.n_local] = np.repeat(np.broadcast_to(local, n_loc), k)
-    return Allocation._from_vector(d, x)
+    n_loc, k = scenario._local_shape
+    x = np.full(scenario.n_entries, central)
+    x[: scenario._n_local] = np.repeat(np.broadcast_to(local, n_loc), k)
+    return Allocation._from_vector(scenario, x)
 
 
 def _require_both_groups(scenario: Scenario, rule: str) -> None:
@@ -159,6 +165,10 @@ def _require_both_groups(scenario: Scenario, rule: str) -> None:
             f"{rule} needs at least one central and one local resource; "
             f"got {len(scenario.central_resources)} central, {len(scenario.local_resources)} local"
         )
+
+
+#: The heuristic rules by name.
+RULES = {"cle": cle_rule, "celp": celp_rule}
 
 
 def best_gamma(
@@ -178,7 +188,7 @@ def best_gamma(
     """
     rule = rule.lower()
     if rule not in RULES:
-        raise ValueError(f"unknown rule {rule!r}, expected one of {RULES}")
+        raise ValueError(f"unknown rule {rule!r}, expected one of {tuple(RULES)}")
     gammas = np.sort([_check_gamma(g) for g in grid])  # argmin keeps the first minimum
     if not gammas.size:
         raise ValueError("gamma grid must be nonempty")
@@ -186,5 +196,4 @@ def best_gamma(
     local = math.fsum(b for _, b in scenario.local_resources)
     score = -central * np.log(gammas) - local * np.log(1.0 - gammas)
     gamma = float(gammas[np.argmin(score)])
-    apply_rule = cle_rule if rule == "cle" else celp_rule
-    return gamma, evaluate(scenario, apply_rule(scenario, gamma))
+    return gamma, evaluate(scenario, RULES[rule](scenario, gamma))

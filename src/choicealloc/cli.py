@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .allocator import DEFAULT_GAMMA_GRID, best_gamma, celp_rule, cle_rule, solve_closed_form
+from .allocator import DEFAULT_GAMMA_GRID, RULES, best_gamma, solve_closed_form
 from .experiments import (
     DEFAULT_RULE_GAMMAS,
     ExperimentTable,
@@ -320,20 +320,18 @@ def _cmd_compare(args) -> int:
     scenario = scenario_file.scenario
     rules = [r.strip().lower() for r in args.rules.split(",") if r.strip()]
     for rule in rules:
-        if rule not in ("cle", "celp"):
+        if rule not in RULES:
             raise _UsageError(f"unknown rule {rule!r}")
     rows: list[tuple[str, Allocation]] = []
     if args.gamma.strip().lower() == "grid":
         for rule in rules:
             gamma, _ = best_gamma(scenario, rule, DEFAULT_GAMMA_GRID)
-            apply_rule = cle_rule if rule == "cle" else celp_rule
-            rows.append((f"{rule.upper()}(gamma*={gamma!r})", apply_rule(scenario, gamma)))
+            rows.append((f"{rule.upper()}(gamma*={gamma!r})", RULES[rule](scenario, gamma)))
     else:
         gammas = _comma_floats(args.gamma)
         for rule in rules:
-            apply_rule = cle_rule if rule == "cle" else celp_rule
             for gamma in gammas:
-                rows.append((f"{rule.upper()}({gamma!r})", apply_rule(scenario, gamma)))
+                rows.append((f"{rule.upper()}({gamma!r})", RULES[rule](scenario, gamma)))
     _emit(solution_table("compare", scenario, rows), args.output)
     return EXIT_OK
 

@@ -21,10 +21,13 @@ is convex in x even though the hit probability itself is not. Minimising B
 therefore minimises the hit probability, and everything downstream (the
 closed-form solver, the numerical oracle) works on B.
 
-An allocation is stored as one flat vector in the scenario's canonical entry
-order (see :func:`entry_keys`); its ``local`` and ``central`` dicts are built
-on first read. :func:`flatten` and :func:`unflatten` copy, so no caller holds
-an allocation's own vector.
+A scenario keeps α per location and β per entry as vectors, which is all the
+optimum depends on. An allocation is stored as one flat vector in the
+scenario's canonical entry order (see :func:`entry_keys`); its ``local`` and
+``central`` dicts are built on first read. :func:`flatten` and
+:func:`unflatten` copy, so no caller holds an allocation's own vector. B's
+gradient is -B * r with r = A^T softmax(V) / x, where A holds each location's
+betas; r is scale-free, so certificates built on it survive B overflowing.
 """
 
 from __future__ import annotations
@@ -130,12 +133,32 @@ class Scenario:
         """Number of allocation entries: |locations|*|local| + |central|."""
         return len(self.locations) * len(self.local_resources) + len(self.central_resources)
 
+    # The vector view. Entries are in the canonical flat order: the first L*K
+    # are the local ones, location-major, so location i's local entries are
+    # row i of the (L, K) reshape; the C central entries follow and enter
+    # every location's utility.
     @cached_property
-    def _design(self) -> _Design:
-        alpha = np.array([a for _, a in self.locations], dtype=float)
+    def _alpha(self) -> np.ndarray:
+        return np.array([a for _, a in self.locations], dtype=float)
+
+    @cached_property
+    def _beta(self) -> np.ndarray:
         local_betas = np.tile([b for _, b in self.local_resources], len(self.locations))
-        beta = np.concatenate([local_betas, [b for _, b in self.central_resources]])
-        return _Design(self.location_ids, self.local_ids, self.central_ids, alpha, beta)
+        return np.concatenate([local_betas, [b for _, b in self.central_resources]])
+
+    @cached_property
+    def _local_keys(self) -> tuple[tuple[str, str], ...]:
+        """Built on first use; the vector paths never need it."""
+        return tuple((loc, res) for loc in self.location_ids for res in self.local_ids)
+
+    @property
+    def _local_shape(self) -> tuple[int, int]:
+        """(L, K): locations by local resources."""
+        return len(self.locations), len(self.local_resources)
+
+    @property
+    def _n_local(self) -> int:
+        return len(self.locations) * len(self.local_resources)
 
 
 class Allocation:
@@ -146,7 +169,7 @@ class Allocation:
         central: central-resource-id -> amount.
         total: sum of the local entries, then the central ones, in dict order.
 
-    The stored form is the flat vector in a scenario design's canonical entry
+    The stored form is the flat vector in its scenario's canonical entry
     order, and the dicts are built on first read. An allocation built from
     dicts gets its vector when it first meets a scenario, after the key check.
     Positivity is enforced here; key agreement with a scenario and the budget
@@ -161,23 +184,25 @@ class Allocation:
         central = {str(j): float(v) for j, v in central.items()}
         x = np.array([*local.values(), *central.values()])
         total = _checked_total(lambda: [*local, *central], x, len(local))
-        self.__dict__.update(local=local, central=central, total=total, _design=None, _x=None)
+        self.__dict__.update(local=local, central=central, total=total, _scenario=None, _x=None)
 
     @classmethod
-    def _from_vector(cls, design: _Design, x: np.ndarray) -> Allocation:
-        """The allocation whose entries are x, in design's order; x is kept, not copied."""
-        total = _checked_total(lambda: design.local_keys + design.central_keys, x, design.n_local)
+    def _from_vector(cls, scenario: Scenario, x: np.ndarray) -> Allocation:
+        """The allocation whose entries are x, in scenario's order; x is kept, not copied."""
+        total = _checked_total(lambda: entry_keys(scenario), x, scenario._n_local)
         allocation = cls.__new__(cls)
-        allocation.__dict__.update(total=total, _design=design, _x=x)
+        allocation.__dict__.update(total=total, _scenario=scenario, _x=x)
         return allocation
 
     @cached_property
     def local(self) -> dict[tuple[str, str], float]:
-        return dict(zip(self._design.local_keys, self._x[: self._design.n_local].tolist()))
+        s = self._scenario
+        return dict(zip(s._local_keys, self._x[: s._n_local].tolist()))
 
     @cached_property
     def central(self) -> dict[str, float]:
-        return dict(zip(self._design.central_keys, self._x[self._design.n_local :].tolist()))
+        s = self._scenario
+        return dict(zip(s.central_ids, self._x[s._n_local :].tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Allocation):
@@ -227,71 +252,37 @@ class Evaluation:
     utilities: dict[str, float]
 
 
-@dataclass(frozen=True)
-class _Design:
-    """Vectorised view of a scenario; entry order is the canonical flat order.
-
-    The first L*K entries are the local ones, location-major, so location i's
-    local entries are row i of the (L, K) reshape; the C central entries
-    follow and enter every location's utility.
-    """
-
-    location_ids: tuple[str, ...]
-    local_ids: tuple[str, ...]
-    central_keys: tuple[str, ...]
-    alpha: np.ndarray       # per location
-    beta: np.ndarray        # per entry
-
-    @cached_property
-    def local_keys(self) -> tuple[tuple[str, str], ...]:
-        """Built on first use; the vector paths never need it."""
-        return tuple((loc, res) for loc in self.location_ids for res in self.local_ids)
-
-    @property
-    def n_local(self) -> int:
-        return len(self.location_ids) * len(self.local_ids)
-
-    @property
-    def n_entries(self) -> int:
-        return self.beta.size
-
-    @property
-    def local_shape(self) -> tuple[int, int]:
-        """(L, K): locations by local resources."""
-        return len(self.location_ids), len(self.local_ids)
-
-
 def entry_keys(scenario: Scenario) -> list[tuple[str, str] | str]:
     """Canonical flat entry order: local pairs location-major, then central ids."""
-    d = scenario._design
-    return list(d.local_keys) + list(d.central_keys)
+    return list(scenario._local_keys) + list(scenario.central_ids)
 
 
-def _vector(scenario: Scenario, allocation: Allocation) -> tuple[_Design, np.ndarray]:
-    """The scenario's design and the allocation's own vector in that design's order.
+def _vector(scenario: Scenario, allocation: Allocation) -> np.ndarray:
+    """The allocation's own vector in the scenario's entry order.
 
-    An allocation built on this design passes by identity; any other is key
-    checked once and keeps its vector for this design.
+    An allocation built on this scenario passes by identity; any other is key
+    checked once and keeps its vector for this scenario.
     """
-    d = scenario._design
-    if allocation._design is d:
-        return d, allocation._x
-    if set(allocation.local) != set(d.local_keys):
-        missing = set(d.local_keys) - set(allocation.local)
-        extra = set(allocation.local) - set(d.local_keys)
+    if allocation._scenario is scenario:
+        return allocation._x
+    local_keys = scenario._local_keys
+    if set(allocation.local) != set(local_keys):
+        missing = set(local_keys) - set(allocation.local)
+        extra = set(allocation.local) - set(local_keys)
         raise AllocationError(
             f"local keys do not match scenario (missing {sorted(missing)}, extra {sorted(extra)})"
         )
-    if set(allocation.central) != set(d.central_keys):
-        missing = set(d.central_keys) - set(allocation.central)
-        extra = set(allocation.central) - set(d.central_keys)
+    central_ids = scenario.central_ids
+    if set(allocation.central) != set(central_ids):
+        missing = set(central_ids) - set(allocation.central)
+        extra = set(allocation.central) - set(central_ids)
         raise AllocationError(
             f"central keys do not match scenario (missing {sorted(missing)}, extra {sorted(extra)})"
         )
-    x = np.array([*map(allocation.local.get, d.local_keys),
-                  *map(allocation.central.get, d.central_keys)])
-    allocation.__dict__.update(_design=d, _x=x)
-    return d, x
+    x = np.array([*map(allocation.local.get, local_keys),
+                  *map(allocation.central.get, central_ids)])
+    allocation.__dict__.update(_scenario=scenario, _x=x)
+    return x
 
 
 def check_feasible(scenario: Scenario, allocation: Allocation) -> None:
@@ -306,28 +297,36 @@ def check_feasible(scenario: Scenario, allocation: Allocation) -> None:
 
 def flatten(scenario: Scenario, allocation: Allocation) -> np.ndarray:
     """Allocation as a new vector in canonical entry order."""
-    return _vector(scenario, allocation)[1].copy()
+    return _vector(scenario, allocation).copy()
 
 
 def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
     """Inverse of :func:`flatten`; the allocation keeps a copy of x."""
-    d = scenario._design
     x = np.array(x, dtype=float)
-    if x.shape != (d.n_entries,):
-        raise AllocationError(f"expected vector of length {d.n_entries}, got shape {x.shape}")
-    return Allocation._from_vector(d, x)
+    n = scenario.n_entries
+    if x.shape != (n,):
+        raise AllocationError(f"expected vector of length {n}, got shape {x.shape}")
+    return Allocation._from_vector(scenario, x)
 
 
-def _location_sums(design: _Design, per_entry: np.ndarray) -> np.ndarray:
+def _location_sums(scenario: Scenario, per_entry: np.ndarray) -> np.ndarray:
     """Per location, the sum of a per-entry vector over the entries in its utility."""
-    n_local = design.n_local
-    local = per_entry[:n_local].reshape(design.local_shape).sum(axis=1)
+    n_local = scenario._n_local
+    local = per_entry[:n_local].reshape(scenario._local_shape).sum(axis=1)
     return local + per_entry[n_local:].sum()
 
 
-def _utilities(design: _Design, x: np.ndarray) -> np.ndarray:
+def _transposed(scenario: Scenario, p: np.ndarray) -> np.ndarray:
+    """A^T p for per-location p: per entry, beta times the sum of p over the
+    locations whose utility contains it (its own for a local entry, all for a
+    central one)."""
+    per_local = np.repeat(p, scenario._local_shape[1])
+    return scenario._beta * np.concatenate([per_local, np.full(len(scenario.central_ids), p.sum())])
+
+
+def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """Deterministic utilities V_i, which are also the log surrogate terms."""
-    return design.alpha - _location_sums(design, design.beta * np.log(x))
+    return scenario._alpha - _location_sums(scenario, scenario._beta * np.log(x))
 
 
 def _log_sum_exp(v: np.ndarray) -> float:
@@ -341,39 +340,23 @@ def _exp_or_inf(ln_value: float) -> float:
     return math.exp(ln_value) if ln_value < 709.0 else math.inf
 
 
-def _surrogate_value(design: _Design, x: np.ndarray) -> float:
-    return _exp_or_inf(_log_sum_exp(_utilities(design, x)))
+def _log_gradient(scenario: Scenario, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """ln B and the scale-free gradient r = A^T softmax(V) / x, so dB/dx = -B * r.
 
-
-def _containing_sums(design: _Design, terms: np.ndarray) -> np.ndarray:
-    """Per entry, the sum of the surrogate terms whose utility contains it.
-
-    A local entry appears only in its own location's term; a central entry
-    appears in every term, so its sum is B.
+    Every r_k is finite, however large or small B is, and positive unless a
+    location's softmax weight underflows to 0.
     """
-    n_central = len(design.central_keys)
-    per_local = np.repeat(terms, design.local_shape[1])
-    return np.concatenate([per_local, np.full(n_central, terms.sum())])
-
-
-def _gradient_vector(design: _Design, x: np.ndarray) -> np.ndarray:
-    """Gradient of the surrogate: -beta_k * (sum of terms containing k) / x_k."""
-    terms = np.exp(_utilities(design, x))
-    return -design.beta * _containing_sums(design, terms) / x
+    v = _utilities(scenario, x)
+    ln_b = _log_sum_exp(v)
+    return ln_b, _transposed(scenario, np.exp(v - ln_b)) / x
 
 
 def deterministic_utility(scenario: Scenario, allocation: Allocation, location: str) -> float:
     """V at one location: alpha minus beta-weighted logs of the relevant entries."""
     if location not in scenario.location_ids:
         raise ScenarioError(f"unknown location id {location!r}")
-    _vector(scenario, allocation)
-    alpha = dict(scenario.locations)[location]
-    v = alpha
-    for res, beta in scenario.local_resources:
-        v -= beta * math.log(allocation.local[(location, res)])
-    for res, beta in scenario.central_resources:
-        v -= beta * math.log(allocation.central[res])
-    return v
+    v = _utilities(scenario, _vector(scenario, allocation))
+    return float(v[scenario.location_ids.index(location)])
 
 
 def surrogate_B(scenario: Scenario, allocation: Allocation) -> float:
@@ -382,16 +365,21 @@ def surrogate_B(scenario: Scenario, allocation: Allocation) -> float:
     Requires positive entries matching the scenario; the budget bound is not
     needed here (B is defined on all positive allocations).
     """
-    return _surrogate_value(*_vector(scenario, allocation))
+    return _exp_or_inf(_log_sum_exp(_utilities(scenario, _vector(scenario, allocation))))
 
 
 def gradient_B(scenario: Scenario, allocation: Allocation) -> dict[tuple[str, str] | str, float]:
     """Partial derivatives of B, keyed like the allocation's entries.
 
     For a local entry the derivative is -beta * term_i / x; for a central
-    entry it is -beta * B / x. Every component is strictly negative.
+    entry it is -beta * B / x. Each component is -B * r, formed as
+    -exp(ln B + ln r), so it stays finite where B itself overflows but the
+    derivative does not. A local component whose location's choice weight
+    underflows reads -0.0.
     """
-    g = _gradient_vector(*_vector(scenario, allocation))
+    ln_b, r = _log_gradient(scenario, _vector(scenario, allocation))
+    with np.errstate(divide="ignore", over="ignore"):
+        g = -np.exp(ln_b + np.log(r))
     return dict(zip(entry_keys(scenario), g.tolist()))
 
 
@@ -405,7 +393,7 @@ def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:
     past the double range while the probabilities stay finite.
     """
     check_feasible(scenario, allocation)
-    v = _utilities(*_vector(scenario, allocation))
+    v = _utilities(scenario, _vector(scenario, allocation))
     ln_b = _log_sum_exp(v)
     ln_denom = float(np.logaddexp(0.0, ln_b))
     per_location = np.exp(v - ln_denom)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Allocation, Scenario, ScenarioError, check_feasible, evaluate
+from .model import Allocation, Scenario, ScenarioError, _utilities, _vector, check_feasible
 
 #: Label used for the opt-out alternative in sampled counts.
 OPT_OUT = "OPT_OUT"
@@ -42,10 +42,7 @@ def sample_choices(
     if OPT_OUT in scenario.location_ids:
         raise ScenarioError(f"location id {OPT_OUT!r} collides with the opt-out label")
     check_feasible(scenario, allocation)
-    evaluation = evaluate(scenario, allocation)
-    utilities = np.array(
-        [evaluation.utilities[i] for i in scenario.location_ids] + [0.0]
-    )
+    utilities = np.append(_utilities(scenario, _vector(scenario, allocation)), 0.0)
     n_alternatives = utilities.size
 
     rng = np.random.default_rng(seed)

@@ -30,16 +30,17 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import SolveReport
+from .allocator import SolveReport, _stationarity_residual
 from .model import (
     Allocation,
     AllocationError,
     FEASIBILITY_SLACK,
     Scenario,
-    _containing_sums,
-    _gradient_vector,
+    _exp_or_inf,
     _location_sums,
+    _log_gradient,
     _log_sum_exp,
+    _transposed,
     _vector,
     evaluate,
     flatten,
@@ -102,12 +103,6 @@ class OracleConfig:
             raise ValueError("tolerances must be positive")
 
 
-def _gradient_spread(g: np.ndarray) -> float:
-    """Relative spread (max - min) / |mean| of the gradient components."""
-    mean = float(np.mean(g))
-    return float((np.max(g) - np.min(g)) / abs(mean))
-
-
 @dataclass(frozen=True)
 class _Point:
     """One iterate and everything the oracle needs there."""
@@ -121,32 +116,32 @@ class _Point:
     floor: float  # round-off floor of ln B
 
 
-def _point(design, s: float, log_r: float, z: np.ndarray, tolerance: float) -> _Point | None:
+def _point(scenario, s: float, log_r: float, z: np.ndarray, tolerance: float) -> _Point | None:
     """The iterate with shares softmax(z); None if a share underflows to zero."""
     log_q = z - _log_sum_exp(z)
     q = np.exp(log_q)
     if not q.min() > 0.0:
         return None
-    log_terms = design.beta * (log_r + log_q)
-    v = design.alpha - _location_sums(design, log_terms)
+    log_terms = scenario._beta * (log_r + log_q)
+    v = scenario._alpha - _location_sums(scenario, log_terms)
     ln_b = _log_sum_exp(v)
     p = np.exp(v - ln_b)
-    # A^T p: a local entry sits in its own location's utility, a central one in all.
-    a = design.beta * _containing_sums(design, p)
-    magnitude = float(np.max(design.alpha + _location_sums(design, np.abs(log_terms))))
+    a = _transposed(scenario, p)
+    magnitude = float(np.max(scenario._alpha + _location_sums(scenario, np.abs(log_terms))))
+    # B's gradient in x is -B * a / x, so its relative spread is that of a / q.
+    ratio = a / q
     return _Point(
         log_q=log_q,
         q=q,
         p=p,
         ln_b=ln_b,
         gradient=s * q - a,
-        # B's gradient in x is -B * a / x, so its relative spread is that of a / q.
-        spread=_gradient_spread(a / q),
+        spread=float((np.max(ratio) - np.min(ratio)) / abs(float(np.mean(ratio)))),
         floor=tolerance * (1.0 + magnitude),
     )
 
 
-def _newton_direction(design, s: float, point: _Point) -> np.ndarray:
+def _newton_direction(scenario: Scenario, s: float, point: _Point) -> np.ndarray:
     """Solve (hess phi + S q q^T) d = -grad phi in O(n).
 
     The matrix is D - v v^T: D is S diag q plus p_i b b^T on location i's
@@ -154,9 +149,9 @@ def _newton_direction(design, s: float, point: _Point) -> np.ndarray:
     ones. D is inverted block by block with Sherman-Morrison, then the
     rank-one term once more.
     """
-    n_loc, k = design.local_shape
+    n_loc, k = scenario._local_shape
     n_local = n_loc * k
-    b = design.beta[:k]
+    b = scenario._beta[:k]
     delta = s * point.q
     v = np.zeros_like(delta)
     v[:n_local] = (point.p[:, None] * b).ravel()
@@ -199,16 +194,15 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
     """
     config = config or OracleConfig()
     tolerance = config.stationarity_tolerance
-    design = scenario._design
     r = scenario.budget
     log_r = math.log(r)
-    s = float(_location_sums(design, design.beta)[0])  # the same for every location
+    s = float(_location_sums(scenario, scenario._beta)[0])  # the same for every location
 
     def at(z: np.ndarray) -> _Point | None:
-        return _point(design, s, log_r, z, config.objective_tolerance)
+        return _point(scenario, s, log_r, z, config.objective_tolerance)
 
     if config.initial_point is None:
-        x = np.full(design.n_entries, r / design.n_entries)
+        x = np.full(scenario.n_entries, r / scenario.n_entries)
     else:
         x = flatten(scenario, config.initial_point)
     start = time.perf_counter()
@@ -228,7 +222,7 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
     handover = time.perf_counter()
 
     while newton < _NEWTON_STEPS and point.spread > tolerance:
-        new, used = _line_search(at, point, _newton_direction(design, s, point))
+        new, used = _line_search(at, point, _newton_direction(scenario, s, point))
         trials += used
         if new is None:
             break
@@ -246,7 +240,7 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
         },
     }
     x = r * point.q
-    allocation = Allocation._from_vector(design, x)
+    allocation = Allocation._from_vector(scenario, x)
     iterations = first_order + newton
     if point.spread > tolerance:
         raise ConvergenceError(
@@ -257,13 +251,13 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
             iterations=iterations,
             diagnostics=diagnostics,
         )
-    g = _gradient_vector(design, x)
-    multiplier = float(np.mean(g))
+    ln_b, gradient = _log_gradient(scenario, x)
+    level = float(np.mean(gradient))
     return SolveReport(
         allocation=allocation,
         evaluation=evaluate(scenario, allocation),
-        multiplier=multiplier,
-        stationarity_residual=float(np.max(np.abs(g - multiplier))),
+        multiplier=-_exp_or_inf(ln_b) * level,
+        stationarity_residual=_stationarity_residual(ln_b, gradient, level),
         diagnostics=diagnostics,
     )
 
@@ -275,12 +269,13 @@ def kkt_residual(scenario: Scenario, allocation: Allocation) -> float:
     Zero (up to round-off) characterises the optimum; any other full-budget
     point has a strictly positive residual.
     """
-    design, x = _vector(scenario, allocation)
+    x = _vector(scenario, allocation)
     total = float(x.sum())
     if abs(total - scenario.budget) > FEASIBILITY_SLACK * scenario.budget:
         raise AllocationError(
             f"kkt_residual needs a full-budget allocation; total {total} != {scenario.budget}"
         )
-    g = _gradient_vector(design, x)
-    mean = float(np.mean(g))
-    return float(np.max(np.abs(g - mean)) / abs(mean))
+    # g = -B * gradient with B > 0, so B cancels and nothing overflows.
+    gradient = _log_gradient(scenario, x)[1]
+    mean = float(np.mean(gradient))
+    return float(np.max(np.abs(gradient - mean)) / mean)

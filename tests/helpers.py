@@ -17,6 +17,16 @@ def example_two() -> Scenario:
     )
 
 
+def saturated_scenario() -> Scenario:
+    """B past the double range at the optimum: ln B is about 720 at budget 1e-5."""
+    return Scenario(
+        locations=(("a", 60.0), ("b", 0.0)),
+        local_resources=tuple((f"l{j}", 10.0) for j in range(3)),
+        central_resources=tuple((f"c{j}", 10.0) for j in range(2)),
+        budget=1e-5,
+    )
+
+
 def random_scenario(
     rng: np.random.Generator,
     max_locations: int = 5,

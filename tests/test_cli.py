@@ -11,6 +11,7 @@ from choicealloc.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ParseError,
+    ScenarioFile,
     SchemaError,
     bundled_scenario_path,
     load_scenario,
@@ -18,6 +19,7 @@ from choicealloc.cli import (
     save_scenario,
 )
 from choicealloc.model import ScenarioError
+from helpers import saturated_scenario
 
 
 @pytest.fixture
@@ -237,6 +239,14 @@ class TestExitCodes:
     def test_out_of_range_gamma_is_invalid_input(self, capsys, paris_path):
         code, _, _ = run_cli(capsys, ["compare", paris_path, "--gamma", "1.5"])
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_surrogate_solves(self, capsys, tmp_path):
+        path = tmp_path / "saturated.json"
+        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(path))
+        code, out, _ = run_cli(capsys, ["solve", str(path)])
+        assert code == EXIT_OK
+        assert parse_csv(out)[0]["label"] == "OPTIMAL"
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])

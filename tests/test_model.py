@@ -167,6 +167,15 @@ class TestDeterministicUtility:
                 got = deterministic_utility(scenario, allocation, loc)
                 assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    def test_agrees_exactly_with_evaluate(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            scenario = random_scenario(rng)
+            allocation = random_allocation(rng, scenario)
+            utilities = evaluate(scenario, allocation).utilities
+            for loc in scenario.location_ids:
+                assert deterministic_utility(scenario, allocation, loc) == utilities[loc]
+
 
 class TestEvaluate:
     def test_equal_split_probabilities(self):
@@ -332,6 +341,18 @@ class TestGradient:
         g = gradient_B(paris, report.allocation)
         for value in g.values():
             assert value == pytest.approx(float(expected), rel=1e-10)
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_surrogate_gives_no_nan(self):
+        # B = e^800 overflows and location b's choice weight underflows to 0.
+        scenario = Scenario(
+            locations=(("a", 800.0), ("b", 0.0)),
+            local_resources=(("r", 1.0),),
+            central_resources=(("c", 1.0),),
+            budget=4.0,
+        )
+        g = gradient_B(scenario, unflatten(scenario, [1.0, 1.0, 2.0]))
+        assert g == {("a", "r"): -math.inf, ("b", "r"): 0.0, "c": -math.inf}
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(23)

@@ -18,7 +18,7 @@ from choicealloc import (
     surrogate_B,
     unflatten,
 )
-from helpers import example_two, random_scenario
+from helpers import example_two, random_scenario, saturated_scenario
 
 
 @pytest.fixture
@@ -148,3 +148,41 @@ class TestKktResidual:
         )
         with pytest.raises(AllocationError, match="full-budget"):
             kkt_residual(paris, partial)
+
+
+@pytest.mark.filterwarnings("error")
+class TestSaturatedSurrogate:
+    """B overflows the double range at the optimum; certificates stay meaningful."""
+
+    def test_closed_form_is_certified(self):
+        scenario = saturated_scenario()
+        report = solve_closed_form(scenario)
+        assert report.evaluation.surrogate == np.inf
+        assert report.multiplier == -np.inf
+        assert not np.isnan(report.stationarity_residual)
+        assert kkt_residual(scenario, report.allocation) <= 1e-8
+
+    def test_oracle_report_holds_no_nan(self):
+        scenario = saturated_scenario()
+        report = solve_numerical(scenario)
+        closed = flatten(scenario, solve_closed_form(scenario).allocation)
+        got = flatten(scenario, report.allocation)
+        assert np.max(np.abs(got - closed) / closed) <= 1e-6
+        evaluation = report.evaluation
+        values = [report.multiplier, report.stationarity_residual, evaluation.opt_out,
+                  evaluation.overall, evaluation.surrogate, report.diagnostics["relative_spread"],
+                  *evaluation.per_location.values(), *evaluation.utilities.values()]
+        assert not np.isnan(values).any()
+        assert kkt_residual(scenario, report.allocation) <= 1e-8
+
+    def test_exact_stationarity_stays_zero(self):
+        # One entry: every partial derivative is the multiplier, even at B = inf.
+        scenario = Scenario(
+            locations=(("l", 800.0),),
+            local_resources=(("r", 2.0),),
+            central_resources=(),
+            budget=4.0,
+        )
+        report = solve_numerical(scenario)
+        assert report.multiplier == -np.inf
+        assert report.stationarity_residual == 0.0
