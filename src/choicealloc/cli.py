@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -210,7 +212,9 @@ def _comma_floats(text: str) -> list[float]:
         raise _UsageError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves no state on it."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--output", choices=("csv", "json"), default="csv", help="stdout format"
@@ -221,19 +225,17 @@ def _build_parser() -> _Parser:
         default=1e-6,
         help="relative tolerance for closed-form vs numerical agreement (verify)",
     )
+    common.add_argument("file")
 
     parser = _Parser(prog="choicealloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("solve", parents=[common], help="closed-form optimal allocation")
-    p.add_argument("file")
+    sub.add_parser("solve", parents=[common], help="closed-form optimal allocation")
 
     p = sub.add_parser("evaluate", parents=[common], help="evaluate a named allocation")
-    p.add_argument("file")
     p.add_argument("--allocation", required=True, help="name of an allocation in the file")
 
     p = sub.add_parser("compare", parents=[common], help="heuristic rules at fixed gammas")
-    p.add_argument("file")
     p.add_argument("--rules", default="cle,celp", help="comma list from {cle, celp}")
     p.add_argument(
         "--gamma",
@@ -242,7 +244,6 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("sweep", parents=[common], help="attractiveness sweep (two locations)")
-    p.add_argument("file")
     p.add_argument(
         "--alpha1",
         required=True,
@@ -250,15 +251,12 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("scale", parents=[common], help="scale all alphas by factors k")
-    p.add_argument("file")
     p.add_argument("--k", required=True, help="comma list of scale factors")
 
     p = sub.add_parser("budget-for", parents=[common], help="budget needed for a target probability")
-    p.add_argument("file")
     p.add_argument("--target", required=True, type=float, help="overall probability in (0,1)")
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo choice sampling")
-    p.add_argument("file")
     p.add_argument(
         "--allocation",
         required=True,
@@ -267,8 +265,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--draws", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("verify", parents=[common], help="closed form vs numerical oracle")
-    p.add_argument("file")
+    sub.add_parser("verify", parents=[common], help="closed form vs numerical oracle")
     return parser
 
 
@@ -290,33 +287,28 @@ def _named_allocation(scenario_file: ScenarioFile, name: str) -> Allocation:
         raise AllocationError(f"no allocation named {name!r} in file (available: {known})")
 
 
-def _cmd_solve(args) -> int:
-    scenario_file = load_scenario(args.file)
+# Each command maps the loaded file and the parsed arguments to its table and
+# exit code; run() loads the file, writes the table and returns the code.
+_Result = tuple[ExperimentTable, int]
+
+
+def _cmd_solve(scenario_file: ScenarioFile, args) -> _Result:
     report = solve_closed_form(scenario_file.scenario)
     print(
         f"multiplier {report.multiplier!r}, stationarity residual "
         f"{report.stationarity_residual!r}",
         file=sys.stderr,
     )
-    _emit(
-        solution_table("solve", scenario_file.scenario, [("OPTIMAL", report.allocation)]),
-        args.output,
-    )
-    return EXIT_OK
+    rows = [("OPTIMAL", report.allocation)]
+    return solution_table("solve", scenario_file.scenario, rows), EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
-    scenario_file = load_scenario(args.file)
-    allocation = _named_allocation(scenario_file, args.allocation)
-    _emit(
-        solution_table("evaluate", scenario_file.scenario, [(args.allocation, allocation)]),
-        args.output,
-    )
-    return EXIT_OK
+def _cmd_evaluate(scenario_file: ScenarioFile, args) -> _Result:
+    rows = [(args.allocation, _named_allocation(scenario_file, args.allocation))]
+    return solution_table("evaluate", scenario_file.scenario, rows), EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    scenario_file = load_scenario(args.file)
+def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
     scenario = scenario_file.scenario
     rules = [r.strip().lower() for r in args.rules.split(",") if r.strip()]
     for rule in rules:
@@ -332,29 +324,20 @@ def _cmd_compare(args) -> int:
         for rule in rules:
             for gamma in gammas:
                 rows.append((f"{rule.upper()}({gamma!r})", RULES[rule](scenario, gamma)))
-    _emit(solution_table("compare", scenario, rows), args.output)
-    return EXIT_OK
+    return solution_table("compare", scenario, rows), EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    scenario_file = load_scenario(args.file)
+def _cmd_sweep(scenario_file: ScenarioFile, args) -> _Result:
     pairs = tuple((a1, 10.0 - a1) for a1 in _comma_floats(args.alpha1))
-    table = attractiveness_sweep(SweepSpec(alpha_pairs=pairs), base=scenario_file.scenario)
-    _emit(table, args.output)
-    return EXIT_OK
+    return attractiveness_sweep(SweepSpec(alpha_pairs=pairs), base=scenario_file.scenario), EXIT_OK
 
 
-def _cmd_scale(args) -> int:
-    scenario_file = load_scenario(args.file)
-    table = attractiveness_scaling_table(
-        SweepSpec(scale_factors=tuple(_comma_floats(args.k))), base=scenario_file.scenario
-    )
-    _emit(table, args.output)
-    return EXIT_OK
+def _cmd_scale(scenario_file: ScenarioFile, args) -> _Result:
+    spec = SweepSpec(scale_factors=tuple(_comma_floats(args.k)))
+    return attractiveness_scaling_table(spec, base=scenario_file.scenario), EXIT_OK
 
 
-def _cmd_budget_for(args) -> int:
-    scenario_file = load_scenario(args.file)
+def _cmd_budget_for(scenario_file: ScenarioFile, args) -> _Result:
     scenario = scenario_file.scenario
     budget = budget_for_target(scenario, args.target)
     achieved = solve_closed_form(
@@ -365,12 +348,10 @@ def _cmd_budget_for(args) -> int:
         columns=("target", "budget", "achieved"),
         rows=((repr(float(args.target)), (float(args.target), budget, achieved)),),
     )
-    _emit(table, args.output)
-    return EXIT_OK
+    return table, EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    scenario_file = load_scenario(args.file)
+def _cmd_simulate(scenario_file: ScenarioFile, args) -> _Result:
     scenario = scenario_file.scenario
     allocation = _named_allocation(scenario_file, args.allocation)
     sample = sample_choices(scenario, allocation, args.draws, args.seed)
@@ -383,12 +364,10 @@ def _cmd_simulate(args) -> int:
     table = ExperimentTable(
         name="simulate", columns=("count", "frequency", "analytic"), rows=rows
     )
-    _emit(table, args.output)
-    return EXIT_OK
+    return table, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    scenario_file = load_scenario(args.file)
+def _cmd_verify(scenario_file: ScenarioFile, args) -> _Result:
     scenario = scenario_file.scenario
     closed = solve_closed_form(scenario)
     numerical = solve_numerical(scenario)
@@ -397,7 +376,8 @@ def _cmd_verify(args) -> int:
     entry_rel = float(np.max(np.abs(x_numerical - x_closed) / x_closed))
     b_closed = closed.evaluation.surrogate
     b_numerical = numerical.evaluation.surrogate
-    b_rel = abs(b_numerical - b_closed) / b_closed
+    # From ln B, so the difference stays finite where B overflows.
+    b_rel = abs(math.expm1(numerical.evaluation.ln_surrogate - closed.evaluation.ln_surrogate))
     residual = kkt_residual(scenario, closed.allocation)
     table = ExperimentTable(
         name="verify",
@@ -410,14 +390,13 @@ def _cmd_verify(args) -> int:
         ),
         rows=(("verify", (b_closed, b_numerical, b_rel, entry_rel, residual)),),
     )
-    _emit(table, args.output)
     if entry_rel > args.tolerance:
         print(
             f"verification failed: entries differ by {entry_rel:.3e} > {args.tolerance:.3e}",
             file=sys.stderr,
         )
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        return table, EXIT_NUMERICAL
+    return table, EXIT_OK
 
 
 _HANDLERS = {
@@ -434,12 +413,13 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
-        return _HANDLERS[args.command](args)
+        table, code = _HANDLERS[args.command](load_scenario(args.file), args)
+        _emit(table, args.output)
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

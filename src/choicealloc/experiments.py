@@ -19,7 +19,6 @@ from typing import TextIO
 
 from .allocator import (
     DEFAULT_GAMMA_GRID,
-    SolveReport,
     best_gamma,
     celp_rule,
     cle_rule,
@@ -302,10 +301,11 @@ def budget_for_target(scenario: Scenario, target: float) -> float:
     The optimal surrogate scales as budget ** (-sum of betas), so the required
     budget follows in closed form from the current optimum:
 
-        R' = R * (B_now / B_target) ** (1 / sum_betas),  B_target = t / (1 - t).
+        R' = R * exp((ln B_now - ln B_target) / sum_betas),  B_target = t / (1 - t).
 
-    The result is verified by re-solving at R'; a mismatch beyond 1e-9 in the
-    achieved probability raises, rather than returning a bad budget.
+    Working with ln B keeps this finite where B_now overflows. The result is
+    verified by re-solving at R'; a mismatch beyond 1e-9 in the achieved
+    probability raises, rather than returning a bad budget.
     """
     target = float(target)
     if not 0.0 < target < 1.0:
@@ -313,17 +313,14 @@ def budget_for_target(scenario: Scenario, target: float) -> float:
     beta_sum = math.fsum(
         b for _, b in scenario.local_resources + scenario.central_resources
     )
-    b_now = solve_closed_form(scenario).evaluation.surrogate
-    b_target = target / (1.0 - target)
-    budget = scenario.budget * (b_now / b_target) ** (1.0 / beta_sum)
+    ln_b_now = solve_closed_form(scenario).evaluation.ln_surrogate
+    ln_b_target = math.log(target / (1.0 - target))
+    budget = scenario.budget * math.exp((ln_b_now - ln_b_target) / beta_sum)
 
-    achieved = _resolve_at_budget(scenario, budget).evaluation.overall
+    rescaled = dataclasses.replace(scenario, budget=budget)
+    achieved = solve_closed_form(rescaled).evaluation.overall
     if abs(achieved - target) > 1e-9:
         raise ArithmeticError(
             f"budget {budget} reaches overall {achieved}, not the target {target}"
         )
     return budget
-
-
-def _resolve_at_budget(scenario: Scenario, budget: float) -> SolveReport:
-    return solve_closed_form(dataclasses.replace(scenario, budget=budget))

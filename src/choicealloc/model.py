@@ -243,6 +243,7 @@ class Evaluation:
         overall: probability some location is targeted (sum of per_location).
         surrogate: convex surrogate B with overall = B / (1 + B).
         utilities: location-id -> deterministic utility V.
+        ln_surrogate: ln B, finite where B itself overflows to inf.
     """
 
     per_location: dict[str, float]
@@ -250,6 +251,7 @@ class Evaluation:
     overall: float
     surrogate: float
     utilities: dict[str, float]
+    ln_surrogate: float
 
 
 def entry_keys(scenario: Scenario) -> list[tuple[str, str] | str]:
@@ -371,15 +373,19 @@ def surrogate_B(scenario: Scenario, allocation: Allocation) -> float:
 def gradient_B(scenario: Scenario, allocation: Allocation) -> dict[tuple[str, str] | str, float]:
     """Partial derivatives of B, keyed like the allocation's entries.
 
-    For a local entry the derivative is -beta * term_i / x; for a central
-    entry it is -beta * B / x. Each component is -B * r, formed as
-    -exp(ln B + ln r), so it stays finite where B itself overflows but the
-    derivative does not. A local component whose location's choice weight
-    underflows reads -0.0.
+    For a local entry of location i the derivative is -beta * exp(V_i) / x;
+    for a central entry it is -beta * B / x. Each is formed as
+    -exp(ln beta + l - ln x) with l = V_i or ln B, so a component is exact
+    whenever it is representable: a location whose choice weight underflows
+    still gets its own derivative, and a component past the double range
+    reads -inf.
     """
-    ln_b, r = _log_gradient(scenario, _vector(scenario, allocation))
-    with np.errstate(divide="ignore", over="ignore"):
-        g = -np.exp(ln_b + np.log(r))
+    x = _vector(scenario, allocation)
+    v = _utilities(scenario, x)
+    ell = np.concatenate([np.repeat(v, scenario._local_shape[1]),
+                          np.full(len(scenario.central_ids), _log_sum_exp(v))])
+    with np.errstate(over="ignore"):
+        g = -np.exp(np.log(scenario._beta) + ell - np.log(x))
     return dict(zip(entry_keys(scenario), g.tolist()))
 
 
@@ -404,4 +410,5 @@ def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:
         overall=math.exp(ln_b - ln_denom),
         surrogate=_exp_or_inf(ln_b),
         utilities=dict(zip(ids, v.tolist())),
+        ln_surrogate=ln_b,
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -186,9 +187,11 @@ class TestCommands:
         assert float(row["closed_kkt_residual"]) < 1e-10
 
     def test_verify_fails_at_impossible_tolerance(self, capsys, paris_path):
-        code, _, err = run_cli(capsys, ["verify", paris_path, "--tolerance", "1e-300"])
+        code, out, err = run_cli(capsys, ["verify", paris_path, "--tolerance", "1e-300"])
         assert code == EXIT_NUMERICAL
         assert "verification failed" in err
+        (row,) = parse_csv(out)
+        assert row["label"] == "verify"
 
     def test_json_output(self, capsys, paris_path):
         code, out, _ = run_cli(capsys, ["solve", paris_path, "--output", "json"])
@@ -218,8 +221,20 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_missing_file_is_invalid_input(self, capsys):
-        code, _, _ = run_cli(capsys, ["solve", "/nonexistent/file.json"])
-        assert code == EXIT_INVALID_INPUT
+        required = {
+            "solve": [],
+            "evaluate": ["--allocation", "plan"],
+            "compare": [],
+            "sweep": ["--alpha1", "1"],
+            "scale": ["--k", "1"],
+            "budget-for": ["--target", "0.5"],
+            "simulate": ["--allocation", "plan"],
+            "verify": [],
+        }
+        for command, flags in required.items():
+            code, out, err = run_cli(capsys, [command, "/nonexistent/file.json", *flags])
+            assert code == EXIT_INVALID_INPUT, command
+            assert out == "" and "No such file" in err, command
 
     def test_bad_json_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -247,6 +262,26 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, ["solve", str(path)])
         assert code == EXIT_OK
         assert parse_csv(out)[0]["label"] == "OPTIMAL"
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_surrogate_budget_for(self, capsys, tmp_path):
+        path = tmp_path / "saturated.json"
+        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(path))
+        code, out, _ = run_cli(capsys, ["budget-for", str(path), "--target", "0.5"])
+        assert code == EXIT_OK
+        (row,) = parse_csv(out)
+        assert float(row["budget"]) == pytest.approx(18.048076389628, rel=1e-12)
+        assert float(row["achieved"]) == pytest.approx(0.5, abs=5e-14)
+
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_surrogate_verify(self, capsys, tmp_path):
+        path = tmp_path / "saturated.json"
+        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(path))
+        code, out, _ = run_cli(capsys, ["verify", str(path)])
+        assert code == EXIT_OK
+        (row,) = parse_csv(out)
+        assert float(row["closed_B"]) == math.inf
+        assert float(row["B_rel_diff"]) < 1e-9
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])

@@ -247,6 +247,23 @@ class TestEvaluate:
         assert e.surrogate == math.inf
         assert e.overall == 1.0
 
+    def test_ln_surrogate_is_finite_past_the_double_range(self, paris, paris_plan):
+        e = evaluate(paris, paris_plan)
+        assert e.ln_surrogate == pytest.approx(math.log(e.surrogate), rel=1e-14)
+        scenario = Scenario(
+            locations=(("a", 800.0), ("b", 1.0)),
+            local_resources=(("r", 2.0),),
+            central_resources=(("c", 1.0),),
+            budget=9.0,
+        )
+        allocation = Allocation(
+            local={("a", "r"): 3.0, ("b", "r"): 3.0}, central={"c": 3.0}
+        )
+        e = evaluate(scenario, allocation)
+        assert e.surrogate == math.inf
+        expected = float(np.logaddexp(800.0, 1.0)) - 3.0 * math.log(3.0)
+        assert e.ln_surrogate == pytest.approx(expected, rel=1e-15)
+
 
 class TestSurrogate:
     def test_city_plan_value(self, paris, paris_plan):
@@ -352,7 +369,7 @@ class TestGradient:
             budget=4.0,
         )
         g = gradient_B(scenario, unflatten(scenario, [1.0, 1.0, 2.0]))
-        assert g == {("a", "r"): -math.inf, ("b", "r"): 0.0, "c": -math.inf}
+        assert g == {("a", "r"): -math.inf, ("b", "r"): -0.5, "c": -math.inf}
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(23)
