@@ -19,6 +19,7 @@ from .model import (
     Allocation,
     Evaluation,
     Scenario,
+    _evaluation,
     _exp_or_inf,
     _log_gradient,
     evaluate,
@@ -90,10 +91,10 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
         + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))
         - math.fsum(b * math.log(b) for b in all_betas)
     )
-    ln_b, gradient = _log_gradient(scenario, x)
+    v, ln_b, gradient = _log_gradient(scenario, x)
     return SolveReport(
         allocation=allocation,
-        evaluation=evaluate(scenario, allocation),
+        evaluation=_evaluation(scenario, v, ln_b),
         multiplier=-_exp_or_inf(ln_lam),
         stationarity_residual=_stationarity_residual(ln_b, gradient, _exp_or_inf(ln_lam - ln_b)),
     )
@@ -134,7 +135,7 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
     gamma = _check_gamma(gamma)
     _require_both_groups(scenario, "CELP")
     alpha = scenario._alpha
-    alpha_total = math.fsum(alpha)
+    alpha_total = math.fsum(alpha.tolist())
     if alpha_total <= 0.0:
         raise ValueError("CELP is undefined when every location has zero attractiveness")
     zero = np.flatnonzero(alpha <= 0.0)

@@ -25,7 +25,10 @@ A scenario keeps α per location and β per entry as vectors, which is all the
 optimum depends on. An allocation is stored as one flat vector in the
 scenario's canonical entry order (see :func:`entry_keys`); its ``local`` and
 ``central`` dicts are built on first read. :func:`flatten` and
-:func:`unflatten` copy, so no caller holds an allocation's own vector. B's
+:func:`unflatten` copy, so no caller holds an allocation's own vector. An
+evaluation is stored as arrays too, its utilities and per-location
+probabilities, with its dicts built on read; a solver builds its evaluation
+from the utilities and ln B it computes for its certificate. B's
 gradient is -B * r with r = A^T softmax(V) / x, where A holds each location's
 betas; r is scale-free, so certificates built on it survive B overflowing.
 """
@@ -38,8 +41,9 @@ from functools import cached_property
 
 import numpy as np
 
-#: Allocation entries below this are rejected as nonpositive; utilities
-#: diverge as any entry approaches zero, so the feasible set is open.
+#: Allocation entries a caller gives below this are rejected as nonpositive;
+#: utilities diverge as any entry approaches zero, so the feasible set is open.
+#: The solvers' and rules' own output is only checked to be finite and > 0.
 POSITIVITY_FLOOR = 1e-12
 
 #: Relative slack on the budget when checking feasibility, absorbing round-off
@@ -161,7 +165,46 @@ class Scenario:
         return len(self.locations) * len(self.local_resources)
 
 
-class Allocation:
+class _Record:
+    """Immutable, unhashable value with a dataclass's == and repr over ``_fields``.
+
+    Fields are plain instance attributes; a dict field declared with
+    :func:`_lazy_dict` is built from arrays on first read and then kept.
+    """
+
+    __hash__ = None
+    _fields: tuple[str, ...] = ()
+
+    @classmethod
+    def _new(cls, **attributes):
+        record = cls.__new__(cls)
+        record.__dict__.update(attributes)
+        return record
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return [getattr(self, n) for n in fields] == [getattr(other, n) for n in fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _lazy_dict(keys, values) -> cached_property:
+    """A field read as dict(zip(keys(record), values(record).tolist())), built
+    on first read; a record that already holds the dict never calls it."""
+    return cached_property(lambda record: dict(zip(keys(record), values(record).tolist())))
+
+
+class Allocation(_Record):
     """A strictly positive budget split.
 
     Attributes:
@@ -172,69 +215,46 @@ class Allocation:
     The stored form is the flat vector in its scenario's canonical entry
     order, and the dicts are built on first read. An allocation built from
     dicts gets its vector when it first meets a scenario, after the key check.
-    Positivity is enforced here; key agreement with a scenario and the budget
-    bound are checked by the operations that take a scenario. Allocations are
-    immutable and, like their dicts, unhashable.
+    Positivity is enforced here: entries given by a caller must be at least
+    ``POSITIVITY_FLOOR``, while the solvers' and rules' own output need only
+    be finite and > 0. Key agreement with a scenario and the budget bound are
+    checked by the operations that take a scenario. Allocations are immutable
+    and, like their dicts, unhashable.
     """
 
-    __hash__ = None
+    _fields = ("local", "central")
 
     def __init__(self, local: dict[tuple[str, str], float], central: dict[str, float]):
         local = {(str(i), str(j)): float(v) for (i, j), v in local.items()}
         central = {str(j): float(v) for j, v in central.items()}
         x = np.array([*local.values(), *central.values()])
-        total = _checked_total(lambda: [*local, *central], x, len(local))
+        total = _checked_total(lambda: [*local, *central], x, len(local), POSITIVITY_FLOOR)
         self.__dict__.update(local=local, central=central, total=total, _scenario=None, _x=None)
 
     @classmethod
-    def _from_vector(cls, scenario: Scenario, x: np.ndarray) -> Allocation:
+    def _from_vector(cls, scenario: Scenario, x: np.ndarray, floor: float = 0.0) -> Allocation:
         """The allocation whose entries are x, in scenario's order; x is kept, not copied."""
-        total = _checked_total(lambda: entry_keys(scenario), x, scenario._n_local)
-        allocation = cls.__new__(cls)
-        allocation.__dict__.update(total=total, _scenario=scenario, _x=x)
-        return allocation
+        total = _checked_total(lambda: entry_keys(scenario), x, scenario._n_local, floor)
+        return cls._new(total=total, _scenario=scenario, _x=x)
 
-    @cached_property
-    def local(self) -> dict[tuple[str, str], float]:
-        s = self._scenario
-        return dict(zip(s._local_keys, self._x[: s._n_local].tolist()))
-
-    @cached_property
-    def central(self) -> dict[str, float]:
-        s = self._scenario
-        return dict(zip(s.central_ids, self._x[s._n_local :].tolist()))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Allocation):
-            return NotImplemented
-        return (self.local, self.central) == (other.local, other.central)
-
-    def __repr__(self) -> str:
-        return f"Allocation(local={self.local!r}, central={self.central!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    local = _lazy_dict(lambda a: a._scenario._local_keys, lambda a: a._x[: a._scenario._n_local])
+    central = _lazy_dict(lambda a: a._scenario.central_ids, lambda a: a._x[a._scenario._n_local :])
 
 
-def _checked_total(keys, x: np.ndarray, n_local: int) -> float:
+def _checked_total(keys, x: np.ndarray, n_local: int, floor: float) -> float:
     """Sum of x's first n_local entries plus the sum of the rest, each added one
     at a time as sum() does; raises naming keys()[k] for the first entry k that
-    is not finite and at least POSITIVITY_FLOOR."""
-    bad = np.flatnonzero(~(np.isfinite(x) & (x >= POSITIVITY_FLOOR)))
+    is not finite and positive, or is below a nonzero floor."""
+    bad = np.flatnonzero(~(np.isfinite(x) & ((x >= floor) if floor else (x > 0.0))))
     if bad.size:
         k = int(bad[0])
-        raise AllocationError(
-            f"entry {keys()[k]!r} must be at least {POSITIVITY_FLOOR}, got {float(x[k])}"
-        )
+        bound = f"at least {floor}" if floor else "positive"
+        raise AllocationError(f"entry {keys()[k]!r} must be {bound}, got {float(x[k])}")
     # cumsum adds in turn; [-1:].sum() is its last value, or 0.0 when empty.
     return float(np.cumsum(x[:n_local])[-1:].sum() + np.cumsum(x[n_local:])[-1:].sum())
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(_Record):
     """Choice probabilities and surrogate value for one allocation.
 
     Attributes:
@@ -244,14 +264,21 @@ class Evaluation:
         surrogate: convex surrogate B with overall = B / (1 + B).
         utilities: location-id -> deterministic utility V.
         ln_surrogate: ln B, finite where B itself overflows to inf.
+
+    :func:`evaluate` stores the per-location probabilities and utilities as
+    arrays, and the two dicts are built on first read. Evaluations are
+    immutable and unhashable.
     """
 
-    per_location: dict[str, float]
-    opt_out: float
-    overall: float
-    surrogate: float
-    utilities: dict[str, float]
-    ln_surrogate: float
+    _fields = ("per_location", "opt_out", "overall", "surrogate", "utilities", "ln_surrogate")
+
+    def __init__(self, per_location: dict[str, float], opt_out: float, overall: float,
+                 surrogate: float, utilities: dict[str, float], ln_surrogate: float):
+        self.__dict__.update(per_location=per_location, opt_out=opt_out, overall=overall,
+                             surrogate=surrogate, utilities=utilities, ln_surrogate=ln_surrogate)
+
+    per_location = _lazy_dict(lambda e: e._ids, lambda e: e._p)
+    utilities = _lazy_dict(lambda e: e._ids, lambda e: e._v)
 
 
 def entry_keys(scenario: Scenario) -> list[tuple[str, str] | str]:
@@ -308,7 +335,7 @@ def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
     n = scenario.n_entries
     if x.shape != (n,):
         raise AllocationError(f"expected vector of length {n}, got shape {x.shape}")
-    return Allocation._from_vector(scenario, x)
+    return Allocation._from_vector(scenario, x, POSITIVITY_FLOOR)
 
 
 def _location_sums(scenario: Scenario, per_entry: np.ndarray) -> np.ndarray:
@@ -342,15 +369,16 @@ def _exp_or_inf(ln_value: float) -> float:
     return math.exp(ln_value) if ln_value < 709.0 else math.inf
 
 
-def _log_gradient(scenario: Scenario, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """ln B and the scale-free gradient r = A^T softmax(V) / x, so dB/dx = -B * r.
+def _log_gradient(scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """The utilities V, ln B and the scale-free gradient r = A^T softmax(V) / x,
+    so dB/dx = -B * r.
 
     Every r_k is finite, however large or small B is, and positive unless a
     location's softmax weight underflows to 0.
     """
     v = _utilities(scenario, x)
     ln_b = _log_sum_exp(v)
-    return ln_b, _transposed(scenario, np.exp(v - ln_b)) / x
+    return v, ln_b, _transposed(scenario, np.exp(v - ln_b)) / x
 
 
 def deterministic_utility(scenario: Scenario, allocation: Allocation, location: str) -> float:
@@ -400,15 +428,18 @@ def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:
     """
     check_feasible(scenario, allocation)
     v = _utilities(scenario, _vector(scenario, allocation))
-    ln_b = _log_sum_exp(v)
+    return _evaluation(scenario, v, _log_sum_exp(v))
+
+
+def _evaluation(scenario: Scenario, v: np.ndarray, ln_b: float) -> Evaluation:
+    """The evaluation at utilities v with ln B = ln_b; v is kept, not copied."""
     ln_denom = float(np.logaddexp(0.0, ln_b))
-    per_location = np.exp(v - ln_denom)
-    ids = scenario.location_ids
-    return Evaluation(
-        per_location=dict(zip(ids, per_location.tolist())),
+    return Evaluation._new(
         opt_out=math.exp(-ln_denom),
         overall=math.exp(ln_b - ln_denom),
         surrogate=_exp_or_inf(ln_b),
-        utilities=dict(zip(ids, v.tolist())),
         ln_surrogate=ln_b,
+        _ids=scenario.location_ids,
+        _p=np.exp(v - ln_denom),
+        _v=v,
     )

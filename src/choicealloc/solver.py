@@ -36,13 +36,13 @@ from .model import (
     AllocationError,
     FEASIBILITY_SLACK,
     Scenario,
+    _evaluation,
     _exp_or_inf,
     _location_sums,
     _log_gradient,
     _log_sum_exp,
     _transposed,
     _vector,
-    evaluate,
     flatten,
 )
 
@@ -251,11 +251,11 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
             iterations=iterations,
             diagnostics=diagnostics,
         )
-    ln_b, gradient = _log_gradient(scenario, x)
+    v, ln_b, gradient = _log_gradient(scenario, x)
     level = float(np.mean(gradient))
     return SolveReport(
         allocation=allocation,
-        evaluation=evaluate(scenario, allocation),
+        evaluation=_evaluation(scenario, v, ln_b),
         multiplier=-_exp_or_inf(ln_b) * level,
         stationarity_residual=_stationarity_residual(ln_b, gradient, level),
         diagnostics=diagnostics,
@@ -276,6 +276,6 @@ def kkt_residual(scenario: Scenario, allocation: Allocation) -> float:
             f"kkt_residual needs a full-budget allocation; total {total} != {scenario.budget}"
         )
     # g = -B * gradient with B > 0, so B cancels and nothing overflows.
-    gradient = _log_gradient(scenario, x)[1]
+    gradient = _log_gradient(scenario, x)[2]
     mean = float(np.mean(gradient))
     return float(np.max(np.abs(gradient - mean)) / mean)

@@ -27,6 +27,16 @@ def saturated_scenario() -> Scenario:
     )
 
 
+def tiny_share_scenario() -> Scenario:
+    """An optimal local share of about 2.1e-18, below POSITIVITY_FLOOR: alpha = 0 and 80."""
+    return Scenario(
+        locations=(("a", 0.0), ("b", 80.0)),
+        local_resources=(("r", 1.0),),
+        central_resources=(("c", 1.0),),
+        budget=1.0,
+    )
+
+
 def random_scenario(
     rng: np.random.Generator,
     max_locations: int = 5,

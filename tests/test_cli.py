@@ -20,7 +20,7 @@ from choicealloc.cli import (
     save_scenario,
 )
 from choicealloc.model import ScenarioError
-from helpers import saturated_scenario
+from helpers import saturated_scenario, tiny_share_scenario
 
 
 @pytest.fixture
@@ -282,6 +282,19 @@ class TestExitCodes:
         (row,) = parse_csv(out)
         assert float(row["closed_B"]) == math.inf
         assert float(row["B_rel_diff"]) < 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_share_below_the_floor_solves_and_verifies(self, capsys, tmp_path):
+        path = tmp_path / "tiny.json"
+        save_scenario(ScenarioFile(1, tiny_share_scenario(), {}), str(path))
+        code, out, _ = run_cli(capsys, ["solve", str(path)])
+        assert code == EXIT_OK
+        (row,) = parse_csv(out)
+        assert float(row["x[a/r]"]) == pytest.approx(0.5 * math.exp(-40.0), rel=1e-12)
+        code, out, _ = run_cli(capsys, ["verify", str(path)])
+        assert code == EXIT_OK
+        (row,) = parse_csv(out)
+        assert float(row["max_entry_rel_diff"]) <= 1e-6
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,11 @@ import pytest
 from choicealloc import (
     Allocation,
     AllocationError,
+    Evaluation,
+    POSITIVITY_FLOOR,
     Scenario,
     ScenarioError,
+    budget_for_target,
     check_feasible,
     deterministic_utility,
     entry_keys,
@@ -24,7 +28,7 @@ from choicealloc import (
     surrogate_B,
     unflatten,
 )
-from helpers import example_two, random_allocation, random_scenario
+from helpers import example_two, random_allocation, random_scenario, tiny_share_scenario
 
 
 @pytest.fixture
@@ -297,6 +301,21 @@ class TestSurrogate:
             evaluate(paris, doubled)
 
 
+def _city_1e5() -> Scenario:
+    """100 000 locations, 3 local and 2 central resources in c08's ranges:
+    300 002 entries."""
+    rng = np.random.default_rng(1)
+    alphas = rng.uniform(0.0, 8.0, 100_000).tolist()
+    local_betas = rng.uniform(0.5, 4.0, 3).tolist()
+    central_betas = rng.uniform(0.5, 4.0, 2).tolist()
+    return Scenario(
+        locations=tuple((f"loc{i}", a) for i, a in enumerate(alphas)),
+        local_resources=tuple((f"lr{j}", b) for j, b in enumerate(local_betas)),
+        central_resources=tuple((f"cr{j}", b) for j, b in enumerate(central_betas)),
+        budget=float(rng.uniform(1.0, 100.0)),
+    )
+
+
 class TestScale:
     def test_memory_is_linear_in_entries(self):
         # 3000 locations, 2 local and 1 central resource: 6001 entries. A dense
@@ -317,19 +336,9 @@ class TestScale:
         assert peak < 32 * 2**20
 
     def test_closed_form_memory_at_1e5_locations(self):
-        # 100 000 locations, 3 local and 2 central resources in c08's ranges:
-        # 300 002 entries. One dict entry and one float object per entry, as a
-        # dict-keyed allocation keeps, already take about 30 MB.
-        rng = np.random.default_rng(1)
-        alphas = rng.uniform(0.0, 8.0, 100_000).tolist()
-        local_betas = rng.uniform(0.5, 4.0, 3).tolist()
-        central_betas = rng.uniform(0.5, 4.0, 2).tolist()
-        scenario = Scenario(
-            locations=tuple((f"loc{i}", a) for i, a in enumerate(alphas)),
-            local_resources=tuple((f"lr{j}", b) for j, b in enumerate(local_betas)),
-            central_resources=tuple((f"cr{j}", b) for j, b in enumerate(central_betas)),
-            budget=float(rng.uniform(1.0, 100.0)),
-        )
+        # One dict entry and one float object per entry, as a dict-keyed
+        # allocation keeps, already take about 30 MB.
+        scenario = _city_1e5()
         tracemalloc.start()
         try:
             report = solve_closed_form(scenario)
@@ -341,6 +350,19 @@ class TestScale:
         assert residual <= 1e-8
         assert report.allocation.total == pytest.approx(scenario.budget, rel=1e-12)
         assert peak < 48 * 2**20
+
+    def test_evaluate_memory_at_1e5_locations(self):
+        # Two 100 000-entry dicts of floats, built eagerly, take about 12 MB.
+        scenario = _city_1e5()
+        report = solve_closed_form(scenario)
+        tracemalloc.start()
+        try:
+            evaluation = evaluate(scenario, report.allocation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert evaluation.ln_surrogate == report.evaluation.ln_surrogate
+        assert peak < 8 * 2**20
 
 
 class TestGradient:
@@ -475,3 +497,68 @@ class TestVectorBackedAllocation:
         richer = dataclasses.replace(paris, budget=2 * paris.budget)
         assert evaluate(richer, from_vector) == evaluate(paris, from_vector)
         assert evaluate(paris, from_vector) == evaluate(paris, paris_plan)
+
+
+class TestArrayBackedEvaluation:
+    """Evaluations keep arrays and build their dicts on first read."""
+
+    def test_equality_and_repr(self, paris, paris_plan):
+        evaluation = solve_closed_form(paris).evaluation
+        assert repr(evaluation) == (
+            "Evaluation(per_location={'louvre': 0.0055045871559633005, "
+            "'eiffel': 0.0036697247706421994}, opt_out=0.9908256880733946, "
+            "overall=0.009174311926605498, surrogate=0.009259259259259257, "
+            "utilities={'louvre': -5.19295685089021, 'eiffel': -5.598421958998375}, "
+            "ln_surrogate=-4.68213122712422)"
+        )
+        fields = ("per_location", "opt_out", "overall", "surrogate", "utilities", "ln_surrogate")
+        values = [getattr(evaluation, name) for name in fields]
+        from_dicts = Evaluation(*values)
+        assert from_dicts == evaluation and evaluation == from_dicts
+        assert repr(from_dicts) == repr(evaluation)
+        assert Evaluation(**dict(zip(fields, values))) == evaluation
+        assert evaluation == evaluate(paris, solve_closed_form(paris).allocation)
+        assert evaluation != evaluate(paris, paris_plan)
+        assert evaluation != Evaluation(*values[:-1], values[-1] + 1.0)
+        assert evaluation != tuple(values)
+
+    def test_immutable_and_unhashable(self, paris, paris_plan):
+        for evaluation in (evaluate(paris, paris_plan), solve_closed_form(paris).evaluation):
+            for name in ("per_location", "overall", "utilities", "ln_surrogate"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(evaluation, name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(evaluation, name)
+            with pytest.raises(TypeError):
+                hash(evaluation)
+
+    def test_dicts_built_on_first_read(self, paris, paris_plan):
+        evaluation = evaluate(paris, paris_plan)
+        assert "per_location" not in vars(evaluation)
+        assert "utilities" not in vars(evaluation)
+        per_location, utilities = evaluation.per_location, evaluation.utilities
+        assert evaluation.per_location is per_location
+        assert evaluation.utilities is utilities
+        assert list(per_location) == list(utilities) == ["louvre", "eiffel"]
+        assert utilities["louvre"] == deterministic_utility(paris, paris_plan, "louvre")
+
+
+class TestPositivityFloor:
+    """The floor guards entries a caller gives, not the solvers' own output."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_optimal_share_below_the_floor_is_kept(self):
+        scenario = tiny_share_scenario()
+        report = solve_closed_form(scenario)
+        share = report.allocation.local[("a", "r")]
+        assert 0.0 < share < POSITIVITY_FLOOR
+        assert share == pytest.approx(0.5 * math.exp(-40.0), rel=1e-12)
+        assert kkt_residual(scenario, report.allocation) <= 1e-8
+        assert evaluate(scenario, report.allocation) == report.evaluation
+        with pytest.raises(AllocationError, match="at least"):
+            unflatten(scenario, flatten(scenario, report.allocation))
+
+    def test_paris_at_a_tiny_budget(self, paris):
+        tiny = dataclasses.replace(paris, budget=1e-30)
+        budget = budget_for_target(tiny, 0.5)
+        assert budget == pytest.approx(budget_for_target(paris, 0.5), rel=1e-12)
