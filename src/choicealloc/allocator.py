@@ -78,6 +78,13 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     scaled = scenario._alpha / (1.0 + local_beta_sum)
     shares = np.exp(scaled - scaled.max())
     shares /= shares.sum()
+    log_weight_sum = float(np.logaddexp.reduce(scaled))
+    if not shares.all():
+        i = int(np.argmin(shares))
+        raise FloatingPointError(
+            f"optimal share of location {scenario.location_ids[i]!r} underflows to 0.0 "
+            f"(ln share {float(scaled[i]) - log_weight_sum:.6g})"
+        )
 
     x = scenario._beta * r / beta_sum
     x[: scenario._n_local] *= np.repeat(shares, scenario._local_shape[1])
@@ -85,7 +92,6 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
 
     # Multiplier from the stationarity condition, assembled in the log domain
     # because R ** (1 + sum beta) overflows quickly.
-    log_weight_sum = float(np.logaddexp.reduce(scaled))
     ln_lam = (
         (1.0 + local_beta_sum) * log_weight_sum
         + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))

@@ -37,6 +37,16 @@ def tiny_share_scenario() -> Scenario:
     )
 
 
+def underflowed_share_scenario() -> Scenario:
+    """An optimal local share of e^-2500, which underflows to 0.0: alpha = 0 and 5000."""
+    return Scenario(
+        locations=(("a", 0.0), ("b", 5000.0)),
+        local_resources=(("r", 1.0),),
+        central_resources=(("c", 1.0),),
+        budget=1.0,
+    )
+
+
 def random_scenario(
     rng: np.random.Generator,
     max_locations: int = 5,

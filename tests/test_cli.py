@@ -20,7 +20,7 @@ from choicealloc.cli import (
     save_scenario,
 )
 from choicealloc.model import ScenarioError
-from helpers import saturated_scenario, tiny_share_scenario
+from helpers import saturated_scenario, tiny_share_scenario, underflowed_share_scenario
 
 
 @pytest.fixture
@@ -295,6 +295,16 @@ class TestExitCodes:
         assert code == EXIT_OK
         (row,) = parse_csv(out)
         assert float(row["max_entry_rel_diff"]) <= 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_underflowed_share_is_a_numerical_failure(self, capsys, tmp_path, command):
+        path = tmp_path / "underflow.json"
+        save_scenario(ScenarioFile(1, underflowed_share_scenario(), {}), str(path))
+        code, out, err = run_cli(capsys, [command, str(path)])
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "location 'a'" in err and "ln share -2500" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])

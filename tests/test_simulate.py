@@ -1,5 +1,8 @@
 import math
+import tracemalloc
+import warnings
 
+import numpy as np
 import pytest
 
 from choicealloc import (
@@ -12,7 +15,7 @@ from choicealloc import (
     sample_choices,
     solve_closed_form,
 )
-from helpers import example_two
+from helpers import example_two, random_allocation
 
 
 def binomial_3se(p: float, n: int) -> float:
@@ -49,15 +52,65 @@ def test_equal_split_frequencies_match_thirds():
 
 
 def test_dominant_location_takes_every_draw():
+    # At alpha = 1000 the spread of V exceeds 709, so exp(max V - V) overflows.
+    for hot_alpha in (50.0, 1000.0):
+        scenario = Scenario(
+            locations=(("hot", hot_alpha), ("cold", 0.0)),
+            local_resources=(("r", 1.0),),
+            central_resources=(),
+            budget=2.0,
+        )
+        allocation = Allocation(local={("hot", "r"): 1.0, ("cold", "r"): 1.0}, central={})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = sample_choices(scenario, allocation, draws=10_000, seed=0)
+        assert sample.counts == {"hot": 10_000, "cold": 0, OPT_OUT: 0}
+
+
+# Counts tallied by the two-log Gumbel-max sampler; the one-log race must match.
+FORTY_LOCATION_COUNTS = [
+    1859, 5853, 6538, 1666, 2631, 13466, 2905, 2389, 1026, 1965,
+    558, 1111, 1214, 324, 1444, 1077, 897, 4800, 1165, 1429,
+    784, 445, 9514, 1255, 2683, 5751, 1394, 1646, 2003, 517,
+    796, 2723, 628, 571, 527, 1392, 418, 2209, 8823, 1232,
+]
+
+
+def test_pinned_counts():
+    paris = paris_scenario()
+    sample = sample_choices(paris, solve_closed_form(paris).allocation, draws=1_000_000, seed=2024)
+    assert sample.counts == {"louvre": 5435, "eiffel": 3726, OPT_OUT: 990839}
+
+    allocation = Allocation(local={("1", "3"): 1.0, ("2", "3"): 1.0}, central={})
+    sample = sample_choices(example_two(), allocation, draws=50_000, seed=11)
+    assert sample.counts == {"1": 16614, "2": 16601, OPT_OUT: 16785}
+
+    rng = np.random.default_rng(40)
     scenario = Scenario(
-        locations=(("hot", 50.0), ("cold", 0.0)),
-        local_resources=(("r", 1.0),),
-        central_resources=(),
-        budget=2.0,
+        locations=tuple((f"loc{i}", float(rng.uniform(0.0, 2.0))) for i in range(40)),
+        local_resources=(("patrol", 1.5), ("camera", 0.7)),
+        central_resources=(("hq", 2.0),),
+        budget=60.0,
     )
-    allocation = Allocation(local={("hot", "r"): 1.0, ("cold", "r"): 1.0}, central={})
-    sample = sample_choices(scenario, allocation, draws=10_000, seed=0)
-    assert sample.counts["hot"] == 10_000
+    sample = sample_choices(scenario, random_allocation(rng, scenario), draws=100_000, seed=7)
+    assert sample.counts == {**dict(zip(scenario.location_ids, FORTY_LOCATION_COUNTS)), OPT_OUT: 372}
+
+
+def test_memory_stays_flat_in_draws_times_locations():
+    scenario = Scenario(
+        locations=tuple((f"loc{i}", float(i % 7)) for i in range(300)),
+        local_resources=(("r", 1.0),),
+        central_resources=(("c", 1.0),),
+        budget=10.0,
+    )
+    allocation = solve_closed_form(scenario).allocation
+    tracemalloc.start()
+    try:
+        sample_choices(scenario, allocation, draws=20_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_city_optimum_frequencies():
