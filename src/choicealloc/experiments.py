@@ -80,10 +80,14 @@ class ExperimentTable:
         return buffer.getvalue()
 
     def as_json_dict(self) -> dict:
+        """The table as JSON-ready data; a nan or infinite cell becomes None (null)."""
         return {
             "name": self.name,
             "columns": list(self.columns),
-            "rows": [{"label": label, "values": list(values)} for label, values in self.rows],
+            "rows": [
+                {"label": label, "values": [v if math.isfinite(v) else None for v in values]}
+                for label, values in self.rows
+            ],
         }
 
 
@@ -198,7 +202,8 @@ def attractiveness_sweep(
     The base scenario must have exactly two locations; each (a1, a2) pair
     replaces their attractiveness and must sum to the sweep's fixed total of
     10 so only the asymmetry varies. For every pair the heuristics are tuned
-    over the gamma grid.
+    over the gamma grid. Where CELP is undefined (celp_rule refuses an
+    alpha of 0), that pair's CELP cells are nan.
     """
     base = base or paris_scenario()
     if len(base.locations) != 2:
@@ -218,16 +223,13 @@ def attractiveness_sweep(
         scenario = dataclasses.replace(base, locations=((id1, a1), (id2, a2)))
         optimal = solve_closed_form(scenario).evaluation.overall
         cle_g, cle_eval = best_gamma(scenario, "cle", grid)
-        celp_g, celp_eval = best_gamma(scenario, "celp", grid)
-        values = (
-            a1,
-            a2,
-            100.0 * optimal,
-            cle_g,
-            100.0 * cle_eval.overall,
-            celp_g,
-            100.0 * celp_eval.overall,
-        )
+        try:  # the grid and resources passed for CLE, so only CELP's own domain fails
+            celp_g, celp_eval = best_gamma(scenario, "celp", grid)
+        except ValueError:
+            celp = (math.nan, math.nan)
+        else:
+            celp = (celp_g, 100.0 * celp_eval.overall)
+        values = (a1, a2, 100.0 * optimal, cle_g, 100.0 * cle_eval.overall, *celp)
         return repr(a1), values
 
     rows = [run(pair) for pair in spec.alpha_pairs]

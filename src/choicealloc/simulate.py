@@ -10,6 +10,12 @@ arrival time by exp(max V) and flipping the sign, the winner is the argmax
 of w_k * ln u_k with w_k = exp(max V - V_k) >= 1: one log per variate
 instead of two, from the same uniforms, so every seed tallies the same
 counts as the two-log Gumbel form.
+
+Draws are tallied a chunk at a time with the weighted keys written
+transposed, one row per alternative, so every reduction runs along the
+draws. On the paper's three-alternative city an argmax along each draw's
+row of n keys would pay numpy's per-row overhead once per draw; past about
+35 alternatives that argmax would be cheaper than the transpose.
 """
 
 from __future__ import annotations
@@ -45,10 +51,12 @@ def sample_choices(
     (locations in scenario order, the opt-out last), with u kept inside the
     open unit interval. Each draw goes to the first argmax of w_k * ln u_k,
     w_k = exp(max V - V_k), the same winner as the Gumbel-max argmax of
-    V_k - ln(-ln u_k). Chunks reuse one buffer; since the generator fills
-    it in order, the chunking does not change the stream. A w_k or product
-    that overflows is -inf after the multiply, so that alternative loses,
-    as it should; ln u < 0 rules out nan.
+    V_k - ln(-ln u_k). Chunks reuse the same buffers; since the generator
+    fills them in order, the chunking does not change the stream. A w_k or
+    product that overflows is -inf after the multiply, so that alternative
+    loses, as it should; ln u < 0 rules out nan. A tie at a draw's maximum
+    goes to its first alternative, as np.argmax along the draw's row would
+    give it.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -63,8 +71,9 @@ def sample_choices(
     counts = np.zeros(n_alternatives, dtype=np.int64)
     rows = min(draws, max(1, _CHUNK // n_alternatives))
     buffer = np.empty(rows * n_alternatives)
+    race = np.empty(rows * n_alternatives)
     with np.errstate(over="ignore"):
-        weights = np.tile(np.exp(utilities.max() - utilities), rows)
+        weights = np.exp(utilities.max() - utilities)
         remaining = draws
         while remaining > 0:
             block = min(remaining, rows)
@@ -72,9 +81,7 @@ def sample_choices(
             rng.random(out=keys)
             np.maximum(keys, tiny, out=keys)
             np.log(keys, out=keys)
-            np.multiply(keys, weights[: keys.size], out=keys)
-            winners = np.argmax(keys.reshape(block, n_alternatives), axis=1)
-            counts += np.bincount(winners, minlength=n_alternatives)
+            counts += _tally(keys.reshape(block, n_alternatives), weights, race)
             remaining -= block
 
     labels = list(scenario.location_ids) + [OPT_OUT]
@@ -83,3 +90,25 @@ def sample_choices(
         draws=draws,
         seed=seed,
     )
+
+
+def _tally(keys: np.ndarray, weights: np.ndarray, race: np.ndarray) -> np.ndarray:
+    """Per-alternative counts of each row's first argmax of w_k * ln u_k.
+
+    keys is a (block, n) chunk of ln u, one draw per row, and is
+    overwritten; race is scratch of at least n * block floats. The weighted
+    keys go transposed into race, and each alternative counts the draws
+    whose maximum it holds, flagged in the spent chunk's memory. Those
+    counts sum to more than block only if some draw ties at its maximum;
+    that chunk is re-tallied with argmax over the alternatives, which keeps
+    the first.
+    """
+    block, n = keys.shape
+    race = race[: n * block].reshape(n, block)
+    np.multiply(keys.T, weights[:, None], out=race)
+    hits = keys.reshape(-1).view(bool)[: n * block].reshape(n, block)
+    np.equal(race, np.maximum.reduce(race, axis=0), out=hits)
+    counts = np.count_nonzero(hits, axis=1)
+    if counts.sum() > block:
+        return np.bincount(np.argmax(race, axis=0), minlength=n)
+    return counts

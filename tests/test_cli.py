@@ -200,6 +200,25 @@ class TestCommands:
         assert payload["columns"][0] == "x[campaign]"
         assert payload["rows"][0]["label"] == "OPTIMAL"
 
+    @pytest.mark.filterwarnings("error")
+    def test_json_output_is_strict_where_cells_are_not_finite(self, capsys, tmp_path, paris_path):
+        # alpha = 0 leaves the sweep's CELP cells nan; a saturated B is inf.
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        saturated = tmp_path / "saturated.json"
+        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(saturated))
+        code, out, _ = run_cli(capsys, ["sweep", paris_path, "--alpha1", "0,5,10", "--output", "json"])
+        assert code == EXIT_OK
+        rows = {row["label"]: row["values"] for row in json.loads(out, parse_constant=reject)["rows"]}
+        assert rows["0.0"][5:] == rows["10.0"][5:] == [None, None]
+        assert rows["0.0"][2] == pytest.approx(rows["10.0"][2]) and rows["0.0"][4] is not None
+        assert rows["5.0"][5] == 0.17
+        code, out, _ = run_cli(capsys, ["verify", str(saturated), "--output", "json"])
+        assert code == EXIT_OK
+        (row,) = json.loads(out, parse_constant=reject)["rows"]
+        assert row["values"][:2] == [None, None] and row["values"][2] < 1e-9
+
     def test_stdout_is_deterministic(self, capsys, paris_path):
         argv = ["simulate", paris_path, "--allocation", "plan", "--draws", "5000", "--seed", "7"]
         _, first, _ = run_cli(capsys, argv)

@@ -15,7 +15,8 @@ from choicealloc import (
     sample_choices,
     solve_closed_form,
 )
-from helpers import example_two, random_allocation
+from choicealloc import simulate
+from helpers import example_two, random_allocation, random_scenario
 
 
 def binomial_3se(p: float, n: int) -> float:
@@ -97,20 +98,62 @@ def test_pinned_counts():
 
 
 def test_memory_stays_flat_in_draws_times_locations():
-    scenario = Scenario(
+    # 301 alternatives in short chunks, and the bundled city's 3 at 10^6 draws.
+    wide = Scenario(
         locations=tuple((f"loc{i}", float(i % 7)) for i in range(300)),
         local_resources=(("r", 1.0),),
         central_resources=(("c", 1.0),),
         budget=10.0,
     )
-    allocation = solve_closed_form(scenario).allocation
-    tracemalloc.start()
-    try:
-        sample_choices(scenario, allocation, draws=20_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 2**20
+    for scenario, draws in ((wide, 20_000), (paris_scenario(), 1_000_000)):
+        allocation = solve_closed_form(scenario).allocation
+        tracemalloc.start()
+        try:
+            sample_choices(scenario, allocation, draws=draws, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, len(scenario.locations)
+
+
+def test_tally_gives_a_tie_to_the_first_alternative():
+    # No seed can force an exact tie, so only hand-built keys reach the
+    # argmax fallback. Weight inf is an overflowed exp(max V - V_k): its
+    # keys are -inf and never win.
+    weights = np.array([1.0, 1.0, np.inf, 2.0])
+    keys = np.array([
+        [-0.5, -0.5, -0.1, -1.0],  # tie of 0 and 1
+        [-2.0, -1.0, -0.3, -0.5],  # tie of 1 and 3
+        [-3.0, -2.0, -0.1, -0.25],  # 3 alone
+        [-1.0, -1.0, -1.0, -0.5],  # tie of 0, 1 and 3
+    ])
+    race = np.empty(keys.size)
+    first_argmax = np.bincount(np.argmax(keys * weights, axis=1), minlength=4)
+    assert simulate._tally(keys.copy(), weights, race).tolist() == first_argmax.tolist() == [2, 1, 0, 1]
+    assert simulate._tally(keys[2:3].copy(), weights, race).tolist() == [0, 0, 0, 1]
+    assert simulate._tally(keys[:1].copy(), weights, race).tolist() == [1, 0, 0, 0]
+
+
+def test_counts_match_a_row_argmax_of_the_same_stream():
+    # The reference draws every uniform at once and takes argmax along each
+    # draw's row. 2 to 12 alternatives; alpha up to 1500 puts utility gaps
+    # past 709, where exp(max V - V_k) overflows; up to 3.6e5 keys spans
+    # two chunks.
+    rng = np.random.default_rng(13)
+    for case in range(40):
+        top = (8.0, 60.0, 1500.0)[case % 3]
+        scenario = random_scenario(rng, max_locations=11, alpha_range=(0.0, top))
+        allocation = random_allocation(rng, scenario)
+        draws = int(rng.integers(1, 30_000))
+        seed = int(rng.integers(0, 2**31))
+        utilities = np.append(list(evaluate(scenario, allocation).utilities.values()), 0.0)
+        with np.errstate(over="ignore"):
+            weights = np.exp(utilities.max() - utilities)
+            u = np.random.default_rng(seed).random((draws, utilities.size))
+            keys = np.log(np.maximum(u, np.finfo(float).tiny)) * weights
+        expected = np.bincount(np.argmax(keys, axis=1), minlength=utilities.size)
+        counts = sample_choices(scenario, allocation, draws, seed).counts
+        assert list(counts.values()) == expected.tolist(), (case, len(scenario.locations))
 
 
 def test_city_optimum_frequencies():
