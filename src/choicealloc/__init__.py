@@ -46,7 +46,7 @@ from .model import (
     unflatten,
 )
 from .simulate import OPT_OUT, ChoiceSample, sample_choices
-from .solver import ConvergenceError, OracleConfig, kkt_residual, solve_numerical
+from .solver import ConvergenceError, kkt_residual, solve_numerical
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "Evaluation",
     "ExperimentTable",
     "OPT_OUT",
-    "OracleConfig",
     "POSITIVITY_FLOOR",
     "Scenario",
     "ScenarioError",

@@ -4,7 +4,8 @@ Scenario files are JSON with a schema_version, the scenario parameters, and
 optionally named allocations. Local allocation entries are keyed
 "location/resource", so ids used in files must not contain "/".
 
-Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 invalid input, 3 numerical failure,
+141 stdout closed before the table was written.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -48,6 +50,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NUMERICAL = 3
+EXIT_CLOSED_OUTPUT = 141  # as a shell reports a process that SIGPIPE ended
 
 
 class ScenarioFileError(ValueError):
@@ -64,7 +67,6 @@ class SchemaError(ScenarioFileError):
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    schema_version: int
     scenario: Scenario
     allocations: dict[str, Allocation]
 
@@ -163,9 +165,7 @@ def load_scenario(path: str) -> ScenarioFile:
         str(name): _parse_allocation(value, str(name), scenario)
         for name, value in allocations_raw.items()
     }
-    return ScenarioFile(
-        schema_version=SCHEMA_VERSION, scenario=scenario, allocations=allocations
-    )
+    return ScenarioFile(scenario=scenario, allocations=allocations)
 
 
 def save_scenario(scenario_file: ScenarioFile, path: str) -> None:
@@ -175,7 +175,7 @@ def save_scenario(scenario_file: ScenarioFile, path: str) -> None:
         if "/" in an_id:
             raise ScenarioFileError(f"id {an_id!r} contains '/', which the file format reserves")
     payload = {
-        "schema_version": scenario_file.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "budget": scenario.budget,
         "locations": [{"id": i, "alpha": a} for i, a in scenario.locations],
         "local_resources": [{"id": i, "beta": b} for i, b in scenario.local_resources],
@@ -219,12 +219,6 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--output", choices=("csv", "json"), default="csv", help="stdout format"
     )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-6,
-        help="relative tolerance for closed-form vs numerical agreement (verify)",
-    )
     common.add_argument("file")
 
     parser = _Parser(prog="choicealloc", description=__doc__)
@@ -265,7 +259,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--draws", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
 
-    sub.add_parser("verify", parents=[common], help="closed form vs numerical oracle")
+    p = sub.add_parser("verify", parents=[common], help="closed form vs numerical oracle")
+    p.add_argument(
+        "--tolerance",
+        type=float,
+        default=1e-6,
+        help="relative tolerance for closed-form vs numerical agreement",
+    )
     return parser
 
 
@@ -417,22 +417,34 @@ def run(argv: list[str]) -> int:
         args = _build_parser().parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
-        table, code = _HANDLERS[args.command](load_scenario(args.file), args)
-        _emit(table, args.output)
-        return code
+        try:
+            scenario_file = load_scenario(args.file)
+        except OSError as exc:
+            raise ScenarioFileError(str(exc)) from exc
+        table, code = _HANDLERS[args.command](scenario_file, args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    except (ScenarioFileError, ScenarioError, AllocationError, ValueError, OSError) as exc:
+    except (ScenarioFileError, ScenarioError, AllocationError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except (ConvergenceError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    try:
+        _emit(table, args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        return EXIT_CLOSED_OUTPUT
+    return code
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == EXIT_CLOSED_OUTPUT:
+        # Output still buffered would fail again when Python flushes at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -19,6 +19,9 @@ Only softmax weights enter, so the steps do not depend on shifting alpha or
 scaling the budget, and nothing comes from the closed form. At the optimum
 every partial derivative of B equals the multiplier; their relative spread is
 the stopping rule and the reported certificate.
+
+The oracle has no settings: every solve starts from the uniform split and
+stops on the constants below.
 """
 
 from __future__ import annotations
@@ -43,64 +46,35 @@ from .model import (
     _log_sum_exp,
     _transposed,
     _vector,
-    flatten,
 )
 
+_FIRST_ORDER_STEPS = 100_000  # cap on the mirror-descent phase
 _NEWTON_STEPS = 50  # cap on the Newton phase
 _HALVINGS = 40  # trial steps per line search: 1, 1/2, ..., 2**-39
 _ARMIJO = 1e-4  # fraction of the predicted decrease of ln B a step must achieve
 #: Mirror descent goes on while its full step is accepted and lowers ln B by
 #: at least this much, i.e. B by a factor e; nearer the optimum Newton is cheaper.
 _FIRST_ORDER_GAIN = 1.0
+#: Round-off floor of ln B relative to the size of the utilities' terms; a
+#: step within it is judged by the gradient spread instead.
+_OBJECTIVE_TOLERANCE = 1e-14
+#: The solve stops once the gradient spread (max - min) relative to |mean
+#: gradient| is at most this.
+_STATIONARITY_TOLERANCE = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """The oracle ran out of iterations or progress before reaching stationarity.
+    """The oracle ran out of steps or progress before reaching stationarity.
 
     Carries the last iterate so callers can inspect how far the solve got, and
-    the same ``diagnostics`` dict a successful solve puts in its report.
+    the same ``diagnostics`` dict a successful solve puts in its report: the
+    steps of each phase, the line-search trials and the final relative spread.
     """
 
-    def __init__(
-        self,
-        message: str,
-        allocation: Allocation,
-        residual: float,
-        iterations: int,
-        diagnostics: dict | None = None,
-    ):
+    def __init__(self, message: str, allocation: Allocation, diagnostics: dict):
         super().__init__(message)
         self.allocation = allocation
-        self.residual = residual
-        self.iterations = iterations
         self.diagnostics = diagnostics
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Stopping and initialisation knobs for the numerical solve.
-
-    Attributes:
-        max_iterations: cap on the mirror-descent steps; the Newton steps
-            that follow have their own cap of 50.
-        objective_tolerance: round-off floor of ln B relative to the size of
-            the utilities' terms; a step within it is judged by the spread.
-        stationarity_tolerance: convergence threshold on the gradient spread
-            (max - min) relative to |mean gradient|.
-        initial_point: starting allocation; None means a uniform split of the
-            budget. A custom point is rescaled onto the budget plane.
-    """
-
-    max_iterations: int = 100_000
-    objective_tolerance: float = 1e-14
-    stationarity_tolerance: float = 1e-9
-    initial_point: Allocation | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_iterations <= 0:
-            raise ValueError(f"max_iterations must be positive, got {self.max_iterations}")
-        if self.objective_tolerance <= 0 or self.stationarity_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -116,7 +90,7 @@ class _Point:
     floor: float  # round-off floor of ln B
 
 
-def _point(scenario, s: float, log_r: float, z: np.ndarray, tolerance: float) -> _Point | None:
+def _point(scenario, s: float, log_r: float, z: np.ndarray) -> _Point | None:
     """The iterate with shares softmax(z); None if a share underflows to zero."""
     log_q = z - _log_sum_exp(z)
     q = np.exp(log_q)
@@ -137,7 +111,7 @@ def _point(scenario, s: float, log_r: float, z: np.ndarray, tolerance: float) ->
         ln_b=ln_b,
         gradient=s * q - a,
         spread=float((np.max(ratio) - np.min(ratio)) / abs(float(np.mean(ratio)))),
-        floor=tolerance * (1.0 + magnitude),
+        floor=_OBJECTIVE_TOLERANCE * (1.0 + magnitude),
     )
 
 
@@ -184,32 +158,27 @@ def _line_search(
     return None, _HALVINGS
 
 
-def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> SolveReport:
+def solve_numerical(scenario: Scenario) -> SolveReport:
     """Minimise the surrogate numerically; raises ConvergenceError on failure.
 
-    The reported multiplier is the mean gradient component at the final
-    iterate and the stationarity residual is the largest absolute deviation
-    from it. The report's ``diagnostics`` hold the steps of each phase, the
-    line-search trials, the final relative spread and the seconds per phase.
+    Starts from the uniform split of the budget. The reported multiplier is
+    the mean gradient component at the final iterate and the stationarity
+    residual is the largest absolute deviation from it. The report's
+    ``diagnostics`` hold the steps of each phase, the line-search trials, the
+    final relative spread and the seconds per phase.
     """
-    config = config or OracleConfig()
-    tolerance = config.stationarity_tolerance
     r = scenario.budget
     log_r = math.log(r)
     s = float(_location_sums(scenario, scenario._beta)[0])  # the same for every location
 
     def at(z: np.ndarray) -> _Point | None:
-        return _point(scenario, s, log_r, z, config.objective_tolerance)
+        return _point(scenario, s, log_r, z)
 
-    if config.initial_point is None:
-        x = np.full(scenario.n_entries, r / scenario.n_entries)
-    else:
-        x = flatten(scenario, config.initial_point)
     start = time.perf_counter()
-    point = at(np.log(x))
+    point = at(np.log(np.full(scenario.n_entries, r / scenario.n_entries)))
     first_order = newton = trials = 0
 
-    while first_order < config.max_iterations and point.spread > tolerance:
+    while first_order < _FIRST_ORDER_STEPS and point.spread > _STATIONARITY_TOLERANCE:
         new, used = _line_search(at, point, -point.gradient)
         trials += used
         if new is None:
@@ -221,7 +190,7 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
             break
     handover = time.perf_counter()
 
-    while newton < _NEWTON_STEPS and point.spread > tolerance:
+    while newton < _NEWTON_STEPS and point.spread > _STATIONARITY_TOLERANCE:
         new, used = _line_search(at, point, _newton_direction(scenario, s, point))
         trials += used
         if new is None:
@@ -241,14 +210,11 @@ def solve_numerical(scenario: Scenario, config: OracleConfig | None = None) -> S
     }
     x = r * point.q
     allocation = Allocation._from_vector(scenario, x)
-    iterations = first_order + newton
-    if point.spread > tolerance:
+    if point.spread > _STATIONARITY_TOLERANCE:
         raise ConvergenceError(
-            f"no stationary point within {iterations} iterations "
-            f"(gradient spread {point.spread:.3e} > {tolerance:.3e})",
+            f"no stationary point within {first_order + newton} iterations "
+            f"(gradient spread {point.spread:.3e} > {_STATIONARITY_TOLERANCE:.3e})",
             allocation=allocation,
-            residual=point.spread,
-            iterations=iterations,
             diagnostics=diagnostics,
         )
     v, ln_b, gradient = _log_gradient(scenario, x)

@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import choicealloc
 from choicealloc.cli import (
+    EXIT_CLOSED_OUTPUT,
     EXIT_INVALID_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -207,7 +212,7 @@ class TestCommands:
             raise ValueError(f"not JSON: {constant}")
 
         saturated = tmp_path / "saturated.json"
-        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(saturated))
+        save_scenario(ScenarioFile(saturated_scenario(), {}), str(saturated))
         code, out, _ = run_cli(capsys, ["sweep", paris_path, "--alpha1", "0,5,10", "--output", "json"])
         assert code == EXIT_OK
         rows = {row["label"]: row["values"] for row in json.loads(out, parse_constant=reject)["rows"]}
@@ -255,6 +260,42 @@ class TestExitCodes:
             assert code == EXIT_INVALID_INPUT, command
             assert out == "" and "No such file" in err, command
 
+    def test_tolerance_outside_verify_is_usage_error(self, capsys, paris_path):
+        required = {
+            "solve": [],
+            "evaluate": ["--allocation", "plan"],
+            "compare": [],
+            "sweep": ["--alpha1", "1"],
+            "scale": ["--k", "1"],
+            "budget-for": ["--target", "0.5"],
+            "simulate": ["--allocation", "plan"],
+        }
+        for command, flags in required.items():
+            code, out, err = run_cli(capsys, [command, paris_path, *flags, "--tolerance", "1e-3"])
+            assert code == EXIT_USAGE, command
+            assert out == "" and "--tolerance" in err, command
+
+    def test_closed_stdout_is_not_invalid_input(self, capsys, monkeypatch, paris_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = run(["sweep", paris_path, "--alpha1", "1,5", "--output", "json"])
+        monkeypatch.undo()
+        assert code == EXIT_CLOSED_OUTPUT != EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == ""
+
+    def test_closed_stdout_ends_quietly_in_a_fresh_process(self, paris_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(choicealloc.__file__).parents[1])}
+        argv = [sys.executable, "-W", "error", "-m", "choicealloc", "solve", paris_path]
+        with subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()  # before the child writes, so its write must fail
+            err = proc.stderr.read().decode()
+        assert proc.returncode == EXIT_CLOSED_OUTPUT
+        assert err.startswith("multiplier ") and err.count("\n") == 1, err
+
     def test_bad_json_is_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -277,7 +318,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     def test_saturated_surrogate_solves(self, capsys, tmp_path):
         path = tmp_path / "saturated.json"
-        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(path))
+        save_scenario(ScenarioFile(saturated_scenario(), {}), str(path))
         code, out, _ = run_cli(capsys, ["solve", str(path)])
         assert code == EXIT_OK
         assert parse_csv(out)[0]["label"] == "OPTIMAL"
@@ -285,7 +326,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     def test_saturated_surrogate_budget_for(self, capsys, tmp_path):
         path = tmp_path / "saturated.json"
-        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(path))
+        save_scenario(ScenarioFile(saturated_scenario(), {}), str(path))
         code, out, _ = run_cli(capsys, ["budget-for", str(path), "--target", "0.5"])
         assert code == EXIT_OK
         (row,) = parse_csv(out)
@@ -295,7 +336,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     def test_saturated_surrogate_verify(self, capsys, tmp_path):
         path = tmp_path / "saturated.json"
-        save_scenario(ScenarioFile(1, saturated_scenario(), {}), str(path))
+        save_scenario(ScenarioFile(saturated_scenario(), {}), str(path))
         code, out, _ = run_cli(capsys, ["verify", str(path)])
         assert code == EXIT_OK
         (row,) = parse_csv(out)
@@ -305,7 +346,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error")
     def test_share_below_the_floor_solves_and_verifies(self, capsys, tmp_path):
         path = tmp_path / "tiny.json"
-        save_scenario(ScenarioFile(1, tiny_share_scenario(), {}), str(path))
+        save_scenario(ScenarioFile(tiny_share_scenario(), {}), str(path))
         code, out, _ = run_cli(capsys, ["solve", str(path)])
         assert code == EXIT_OK
         (row,) = parse_csv(out)
@@ -319,7 +360,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_underflowed_share_is_a_numerical_failure(self, capsys, tmp_path, command):
         path = tmp_path / "underflow.json"
-        save_scenario(ScenarioFile(1, underflowed_share_scenario(), {}), str(path))
+        save_scenario(ScenarioFile(underflowed_share_scenario(), {}), str(path))
         code, out, err = run_cli(capsys, [command, str(path)])
         assert code == EXIT_NUMERICAL
         assert out == ""

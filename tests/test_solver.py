@@ -7,7 +7,6 @@ from choicealloc import (
     Allocation,
     AllocationError,
     ConvergenceError,
-    OracleConfig,
     Scenario,
     cle_rule,
     flatten,
@@ -18,6 +17,7 @@ from choicealloc import (
     surrogate_B,
     unflatten,
 )
+from choicealloc import solver
 from helpers import example_two, random_scenario, saturated_scenario
 
 
@@ -40,35 +40,35 @@ class TestNumericalSolve:
         assert np.max(np.abs(x - expected) / expected) < 1e-6
 
     def test_result_is_feasible_and_certified(self, paris):
-        config = OracleConfig()
-        report = solve_numerical(paris, config)
+        report = solve_numerical(paris)
         x = flatten(paris, report.allocation)
         assert np.all(x > 0)
         assert x.sum() == pytest.approx(paris.budget, rel=1e-10)
         assert report.multiplier < 0
         spread = report.stationarity_residual / abs(report.multiplier)
-        assert spread <= 2 * config.stationarity_tolerance
+        assert spread <= 2 * solver._STATIONARITY_TOLERANCE
 
     def test_descends_from_uniform_start(self, paris):
         uniform = unflatten(paris, np.full(paris.n_entries, paris.budget / paris.n_entries))
         report = solve_numerical(paris)
         assert report.evaluation.surrogate <= surrogate_B(paris, uniform)
 
-    def test_custom_initial_point(self, paris):
-        start = cle_rule(paris, 0.5)
-        report = solve_numerical(paris, OracleConfig(initial_point=start))
-        x = flatten(paris, report.allocation)
-        expected = flatten(paris, solve_closed_form(paris).allocation)
-        assert np.max(np.abs(x - expected) / expected) < 1e-6
-
-    def test_nonconvergence_reports_last_iterate(self, paris):
-        config = OracleConfig(max_iterations=2, stationarity_tolerance=1e-30)
-        with pytest.raises(ConvergenceError) as exc_info:
-            solve_numerical(paris, config)
+    def test_nonconvergence_reports_last_iterate(self, paris, monkeypatch):
+        # One descent step and no Newton step leave Paris far from stationary.
+        monkeypatch.setattr(solver, "_FIRST_ORDER_STEPS", 1)
+        monkeypatch.setattr(solver, "_NEWTON_STEPS", 0)
+        with pytest.raises(ConvergenceError, match="within 1 iterations") as exc_info:
+            solve_numerical(paris)
         error = exc_info.value
         assert isinstance(error.allocation, Allocation)
-        assert error.residual > 1e-30
-        assert error.iterations >= 1
+        x = flatten(paris, error.allocation)
+        assert np.all(x > 0)
+        assert x.sum() == pytest.approx(paris.budget, rel=1e-10)
+        diagnostics = error.diagnostics
+        assert diagnostics["first_order_steps"] == 1
+        assert diagnostics["newton_steps"] == 0
+        assert diagnostics["line_search_trials"] >= 1
+        assert diagnostics["relative_spread"] > 1.0
 
     def test_agrees_with_closed_form_on_random_instances(self):
         rng = np.random.default_rng(5150)
@@ -79,21 +79,17 @@ class TestNumericalSolve:
             assert np.max(np.abs(got - expected) / expected) < 1e-6
 
     def test_newton_corrector_on_random_structures(self):
-        # Three descent steps leave the corrector to do nearly all the work;
-        # the draws cover scenarios without local and without central resources.
+        # Mirror descent stops after a few steps, so the corrector does nearly
+        # all the work; the draws cover scenarios without local and without
+        # central resources. A single entry is stationary at the start.
         rng = np.random.default_rng(2718)
         for _ in range(40):
             scenario = random_scenario(rng)
             expected = flatten(scenario, solve_closed_form(scenario).allocation)
-            report = solve_numerical(scenario, OracleConfig(max_iterations=3))
+            report = solve_numerical(scenario)
+            assert (report.diagnostics["newton_steps"] >= 1) == (scenario.n_entries > 1)
             got = flatten(scenario, report.allocation)
             assert np.max(np.abs(got - expected) / expected) < 1e-6
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_iterations"):
-            OracleConfig(max_iterations=0)
-        with pytest.raises(ValueError, match="tolerances"):
-            OracleConfig(objective_tolerance=0.0)
 
 
 class TestScale:
