@@ -21,7 +21,7 @@ from .model import (
     Scenario,
     _evaluation,
     _exp_or_inf,
-    _log_gradient,
+    _log_state,
     evaluate,
 )
 
@@ -67,8 +67,12 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     weights softmax(alpha_i / (1 + sum of local betas)). The multiplier and
     the stationarity residual certify optimality of the result; the residual
     is pure floating-point noise (at most ~1e-8 relative to the multiplier).
-    Past the double range the multiplier saturates to -inf, as the surrogate
-    saturates to inf, and the residual is then inf unless it is exactly 0.
+    The multiplier's ln sum_i exp(scaled alpha_i) is read off the shares'
+    normaliser as max + ln(sum), which is both cheaper and closer to the
+    exact value than a pairwise log-add-exp. Past the double range the
+    multiplier saturates to -inf, as the surrogate saturates to inf, and the
+    residual is then inf unless it is exactly 0. The allocation keeps the
+    certificate, so ``kkt_residual`` of it reuses it.
     """
     all_betas = [b for _, b in scenario.local_resources + scenario.central_resources]
     beta_sum = math.fsum(all_betas)
@@ -76,9 +80,11 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     r = scenario.budget
 
     scaled = scenario._alpha / (1.0 + local_beta_sum)
-    shares = np.exp(scaled - scaled.max())
-    shares /= shares.sum()
-    log_weight_sum = float(np.logaddexp.reduce(scaled))
+    top = float(scaled.max())
+    shares = np.exp(scaled - top)
+    weight_sum = shares.sum()
+    shares /= weight_sum
+    log_weight_sum = top + math.log(weight_sum)
     if not shares.all():
         i = int(np.argmin(shares))
         raise FloatingPointError(
@@ -97,7 +103,7 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
         + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))
         - math.fsum(b * math.log(b) for b in all_betas)
     )
-    v, ln_b, gradient = _log_gradient(scenario, x)
+    v, ln_b, gradient = _log_state(scenario, allocation)
     return SolveReport(
         allocation=allocation,
         evaluation=_evaluation(scenario, v, ln_b),
@@ -141,12 +147,10 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
     gamma = _check_gamma(gamma)
     _require_both_groups(scenario, "CELP")
     alpha = scenario._alpha
-    alpha_total = math.fsum(alpha.tolist())
-    if alpha_total <= 0.0:
-        raise ValueError("CELP is undefined when every location has zero attractiveness")
-    zero = np.flatnonzero(alpha <= 0.0)
-    if zero.size:
-        i = int(zero[0])
+    if not alpha.min() > 0.0:
+        if scenario._alpha_total <= 0.0:
+            raise ValueError("CELP is undefined when every location has zero attractiveness")
+        i = int(np.flatnonzero(alpha <= 0.0)[0])
         raise ValueError(
             f"CELP would allocate nothing to location {scenario.location_ids[i]!r} "
             f"(alpha = {float(alpha[i])})"
@@ -154,15 +158,14 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
     r = scenario.budget
     per_resource = (1.0 - gamma) * r / len(scenario.local_resources)
     central_amount = gamma * r / len(scenario.central_resources)
-    return _rule_allocation(scenario, per_resource * (alpha / alpha_total), central_amount)
+    return _rule_allocation(scenario, per_resource * (alpha / scenario._alpha_total), central_amount)
 
 
 def _rule_allocation(scenario: Scenario, local: float | np.ndarray, central: float) -> Allocation:
     """Central on every central entry, and local[i] on each of location i's
     local entries (or local on all of them, when it is one number)."""
-    n_loc, k = scenario._local_shape
     x = np.full(scenario.n_entries, central)
-    x[: scenario._n_local] = np.repeat(np.broadcast_to(local, n_loc), k)
+    x[: scenario._n_local].reshape(scenario._local_shape)[:] = np.reshape(local, (-1, 1))
     return Allocation._from_vector(scenario, x)
 
 

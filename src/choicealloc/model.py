@@ -31,6 +31,9 @@ probabilities, with its dicts built on read; a solver builds its evaluation
 from the utilities and ln B it computes for its certificate. B's
 gradient is -B * r with r = A^T softmax(V) / x, where A holds each location's
 betas; r is scale-free, so certificates built on it survive B overflowing.
+An allocation carries one certificate: the (V, ln B, r) first computed for
+it on its scenario are kept with it, so a solve and the ``kkt_residual`` of
+its output share one pass over the entries.
 """
 
 from __future__ import annotations
@@ -146,6 +149,10 @@ class Scenario:
         return np.array([a for _, a in self.locations], dtype=float)
 
     @cached_property
+    def _alpha_total(self) -> float:
+        return math.fsum(self._alpha.tolist())
+
+    @cached_property
     def _beta(self) -> np.ndarray:
         local_betas = np.tile([b for _, b in self.local_resources], len(self.locations))
         return np.concatenate([local_betas, [b for _, b in self.central_resources]])
@@ -245,8 +252,9 @@ def _checked_total(keys, x: np.ndarray, n_local: int, floor: float) -> float:
     """Sum of x's first n_local entries plus the sum of the rest, each added one
     at a time as sum() does; raises naming keys()[k] for the first entry k that
     is not finite and positive, or is below a nonzero floor."""
-    bad = np.flatnonzero(~(np.isfinite(x) & ((x >= floor) if floor else (x > 0.0))))
-    if bad.size:
+    # x's extremes decide; only a bad entry pays for the scan that names it.
+    if x.size and not ((x.min() >= floor if floor else x.min() > 0.0) and x.max() < math.inf):
+        bad = np.flatnonzero(~(np.isfinite(x) & ((x >= floor) if floor else (x > 0.0))))
         k = int(bad[0])
         bound = f"at least {floor}" if floor else "positive"
         raise AllocationError(f"entry {keys()[k]!r} must be {bound}, got {float(x[k])}")
@@ -290,7 +298,8 @@ def _vector(scenario: Scenario, allocation: Allocation) -> np.ndarray:
     """The allocation's own vector in the scenario's entry order.
 
     An allocation built on this scenario passes by identity; any other is key
-    checked once and keeps its vector for this scenario.
+    checked once and keeps its vector for this scenario, dropping the
+    certificate it kept for the last one.
     """
     if allocation._scenario is scenario:
         return allocation._x
@@ -311,6 +320,7 @@ def _vector(scenario: Scenario, allocation: Allocation) -> np.ndarray:
     x = np.array([*map(allocation.local.get, local_keys),
                   *map(allocation.central.get, central_ids)])
     allocation.__dict__.update(_scenario=scenario, _x=x)
+    allocation.__dict__.pop("_log_state", None)
     return x
 
 
@@ -379,6 +389,16 @@ def _log_gradient(scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, float,
     v = _utilities(scenario, x)
     ln_b = _log_sum_exp(v)
     return v, ln_b, _transposed(scenario, np.exp(v - ln_b)) / x
+
+
+def _log_state(scenario: Scenario, allocation: Allocation) -> tuple[np.ndarray, float, np.ndarray]:
+    """:func:`_log_gradient` at the allocation, computed once and kept in it;
+    :func:`_vector` drops it when the allocation moves to another scenario."""
+    x = _vector(scenario, allocation)
+    state = allocation.__dict__.get("_log_state")
+    if state is None:
+        state = allocation.__dict__["_log_state"] = _log_gradient(scenario, x)
+    return state
 
 
 def deterministic_utility(scenario: Scenario, allocation: Allocation, location: str) -> float:

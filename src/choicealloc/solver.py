@@ -42,7 +42,7 @@ from .model import (
     _evaluation,
     _exp_or_inf,
     _location_sums,
-    _log_gradient,
+    _log_state,
     _log_sum_exp,
     _transposed,
     _vector,
@@ -217,7 +217,7 @@ def solve_numerical(scenario: Scenario) -> SolveReport:
             allocation=allocation,
             diagnostics=diagnostics,
         )
-    v, ln_b, gradient = _log_gradient(scenario, x)
+    v, ln_b, gradient = _log_state(scenario, allocation)
     level = float(np.mean(gradient))
     return SolveReport(
         allocation=allocation,
@@ -233,7 +233,9 @@ def kkt_residual(scenario: Scenario, allocation: Allocation) -> float:
 
     Returns max_k |g_k - mean(g)| / |mean(g)| over the surrogate gradient g.
     Zero (up to round-off) characterises the optimum; any other full-budget
-    point has a strictly positive residual.
+    point has a strictly positive residual. The gradient is the allocation's
+    certificate (a solver's output already holds it); the total is checked
+    on every call.
     """
     x = _vector(scenario, allocation)
     total = float(x.sum())
@@ -242,6 +244,6 @@ def kkt_residual(scenario: Scenario, allocation: Allocation) -> float:
             f"kkt_residual needs a full-budget allocation; total {total} != {scenario.budget}"
         )
     # g = -B * gradient with B > 0, so B cancels and nothing overflows.
-    gradient = _log_gradient(scenario, x)[2]
+    gradient = _log_state(scenario, allocation)[2]
     mean = float(np.mean(gradient))
     return float(np.max(np.abs(gradient - mean)) / mean)

@@ -63,6 +63,36 @@ class TestClosedForm:
         assert report.stationarity_residual <= 1e-8 * abs(report.multiplier)
         assert report.allocation.total == pytest.approx(paris.budget, rel=1e-12)
 
+    def test_multiplier_matches_an_fsum_reference(self):
+        # ln(-multiplier) against ln lambda with ln sum_i exp(scaled alpha_i)
+        # summed by math.fsum. On these draws the closed form's max + ln(sum)
+        # stays within 3.7e-16 * (1 + |ln lambda|) (2.3e-13 absolute), while
+        # np.logaddexp.reduce drifts to 3.1e-15 * (1 + |ln lambda|) (1.7e-12).
+        # The bound sits between the two, with room for another summation order.
+        rng = np.random.default_rng(2022)
+        compared = 0
+        for _ in range(200):
+            scenario = random_scenario(rng, max_locations=1500, alpha_range=(0.0, 700.0),
+                                       beta_range=(0.05, 10.0), budget_range=(1e-3, 1e4))
+            local = [b for _, b in scenario.local_resources]
+            betas = local + [b for _, b in scenario.central_resources]
+            beta_sum, local_sum = math.fsum(betas), math.fsum(local)
+            scaled = np.array([a for _, a in scenario.locations]) / (1.0 + local_sum)
+            top = float(scaled.max())
+            log_weight_sum = top + math.log(math.fsum(np.exp(scaled - top).tolist()))
+            ln_lam = math.fsum([
+                (1.0 + local_sum) * log_weight_sum,
+                (1.0 + beta_sum) * (math.log(beta_sum) - math.log(scenario.budget)),
+                -math.fsum(b * math.log(b) for b in betas),
+            ])
+            multiplier = solve_closed_form(scenario).multiplier
+            if ln_lam > 709.0:  # saturated, as the surrogate is
+                assert multiplier == -math.inf
+                continue
+            assert abs(math.log(-multiplier) - ln_lam) <= 2e-15 * (1.0 + abs(ln_lam))
+            compared += 1
+        assert compared >= 150
+
     def test_example_two_split(self):
         report = solve_closed_form(example_two())
         assert report.allocation.local[("1", "3")] == pytest.approx(1.5, rel=1e-12)
@@ -189,6 +219,31 @@ class TestHeuristicRules:
         )
         with pytest.raises(ValueError, match="nothing"):
             celp_rule(one_zero, 0.5)
+
+    def test_celp_errors_repeat_on_the_same_scenario(self):
+        # The alpha total is cached on the scenario; a second call still checks.
+        all_zero = Scenario(
+            locations=(("a", 0.0), ("b", 0.0), ("c", 0.0)),
+            local_resources=(("l", 1.0),),
+            central_resources=(("c0", 1.0),),
+            budget=2.0,
+        )
+        one_zero = dataclasses.replace(all_zero, locations=(("a", 2.0), ("b", 0.0), ("c", 1.0)))
+        for _ in range(2):
+            with pytest.raises(ValueError) as error:
+                celp_rule(all_zero, 0.5)
+            assert str(error.value) == (
+                "CELP is undefined when every location has zero attractiveness"
+            )
+            with pytest.raises(ValueError) as error:
+                celp_rule(one_zero, 0.5)
+            assert str(error.value) == "CELP would allocate nothing to location 'b' (alpha = 0.0)"
+        positive = dataclasses.replace(all_zero, locations=(("a", 2.0), ("b", 0.5), ("c", 1.0)))
+        assert celp_rule(positive, 0.3) == celp_rule(positive, 0.3)
+        per_resource = (1.0 - 0.3) * 2.0
+        assert flatten(positive, celp_rule(positive, 0.3)).tolist() == [
+            *(per_resource * (a / 3.5) for a in (2.0, 0.5, 1.0)), 0.3 * 2.0
+        ]
 
     @pytest.mark.parametrize("gamma", [0.0, 1.0, -0.2, 1.3])
     def test_gamma_bounds(self, paris, gamma):

@@ -499,6 +499,98 @@ class TestVectorBackedAllocation:
         assert evaluate(paris, from_vector) == evaluate(paris, paris_plan)
 
 
+class TestOutputCheck:
+    """An allocation's entries are checked from their extremes; a bad entry is
+    still named, whatever its place."""
+
+    SCENARIO = Scenario(
+        locations=tuple((f"loc{i}", float(i)) for i in range(5)),
+        local_resources=(("r", 1.0), ("s", 2.0)),
+        central_resources=(("c", 1.0),),
+        budget=11.0,
+    )
+    BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-13)
+
+    def _vectors(self):
+        n = self.SCENARIO.n_entries
+        for value in self.BAD:
+            for k in (0, n // 2, n - 1):
+                x = np.linspace(0.5, 1.5, n)
+                x[k] = value
+                yield k, value, x
+
+    def test_bad_entry_is_named_first_middle_and_last(self):
+        keys = entry_keys(self.SCENARIO)
+        for k, value, x in self._vectors():
+            message = f"entry {keys[k]!r} must be at least {POSITIVITY_FLOOR}, got {value}"
+            with pytest.raises(AllocationError) as error:
+                unflatten(self.SCENARIO, x)
+            assert str(error.value) == message
+            if 0.0 < value < POSITIVITY_FLOOR:  # positive, so floor 0 accepts it
+                allocation = Allocation._from_vector(self.SCENARIO, x)
+                assert allocation.total == sum(allocation.local.values()) + sum(
+                    allocation.central.values()
+                )
+                continue
+            with pytest.raises(AllocationError) as error:
+                Allocation._from_vector(self.SCENARIO, x)
+            assert str(error.value) == f"entry {keys[k]!r} must be positive, got {value}"
+
+    def test_first_of_several_bad_entries_is_named(self):
+        keys = entry_keys(self.SCENARIO)
+        x = np.full(self.SCENARIO.n_entries, 1.0)
+        x[[3, 7, 10]] = [1e-13, math.nan, -math.inf]
+        with pytest.raises(AllocationError, match=re.escape(repr(keys[3]))):
+            unflatten(self.SCENARIO, x)
+        with pytest.raises(AllocationError, match=re.escape(repr(keys[7]))):
+            Allocation._from_vector(self.SCENARIO, x)
+
+    def test_total_is_the_sum_of_the_dict_values(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            scenario = random_scenario(rng, max_locations=40)
+            x = rng.uniform(1e-3, 1e3, scenario.n_entries)
+            for allocation in (unflatten(scenario, x), Allocation._from_vector(scenario, x)):
+                total = sum(allocation.local.values()) + sum(allocation.central.values())
+                assert allocation.total == total
+                rebuilt = Allocation(local=dict(allocation.local), central=dict(allocation.central))
+                assert rebuilt.total == total
+
+
+class TestCertificateState:
+    """An allocation keeps the certificate of its last scenario, and only that one."""
+
+    def test_evaluate_of_a_solver_allocation_equals_that_of_a_copy(self):
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            scenario = random_scenario(rng, max_locations=60)
+            allocation = solve_closed_form(scenario).allocation
+            copy = unflatten(scenario, flatten(scenario, allocation))
+            assert evaluate(scenario, allocation) == evaluate(scenario, copy)
+            assert evaluate(scenario, allocation) == solve_closed_form(scenario).evaluation
+
+    def test_rebinding_to_another_scenario_recomputes_it(self, paris):
+        optimum = solve_closed_form(paris).allocation
+        moved = dataclasses.replace(paris, locations=(("louvre", 3.0), ("eiffel", 7.0)))
+
+        def fresh():
+            return Allocation(local=dict(optimum.local), central=dict(optimum.central))
+
+        for allocation in (fresh(), solve_closed_form(paris).allocation):
+            first = (kkt_residual(paris, allocation), evaluate(paris, allocation))
+            second = (kkt_residual(moved, allocation), evaluate(moved, allocation))
+            assert second == (kkt_residual(moved, fresh()), evaluate(moved, fresh()))
+            assert second[0] > 1e-3 and second[1] != first[1]
+            # Back on the first scenario, its own values come back.
+            assert (kkt_residual(paris, allocation), evaluate(paris, allocation)) == first
+
+    def test_rebinding_drops_the_kept_certificate(self, paris):
+        allocation = solve_closed_form(paris).allocation
+        assert "_log_state" in allocation.__dict__
+        evaluate(dataclasses.replace(paris, budget=paris.budget * 2), allocation)
+        assert "_log_state" not in allocation.__dict__
+
+
 class TestArrayBackedEvaluation:
     """Evaluations keep arrays and build their dicts on first read."""
 

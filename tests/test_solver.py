@@ -17,7 +17,7 @@ from choicealloc import (
     surrogate_B,
     unflatten,
 )
-from choicealloc import solver
+from choicealloc import model, solver
 from helpers import example_two, random_scenario, saturated_scenario
 
 
@@ -135,6 +135,24 @@ class TestKktResidual:
         )
         allocation = Allocation(local={("l", "r"): 4.0}, central={})
         assert kkt_residual(scenario, allocation) == 0.0
+
+    def test_reads_the_solvers_certificate_exactly(self):
+        # The residual of a solver's output comes from the gradient the solve
+        # kept; it must equal one computed afresh from the vector, bit for bit.
+        rng = np.random.default_rng(41)
+        for draw in range(40):
+            scenario = random_scenario(rng, max_locations=300, alpha_range=(0.0, 60.0),
+                                       beta_range=(0.05, 10.0), budget_range=(1e-3, 1e4))
+            reports = [solve_closed_form(scenario)]
+            if draw % 4 == 0:
+                reports.append(solve_numerical(scenario))
+            for report in reports:
+                x = flatten(scenario, report.allocation)
+                gradient = model._log_gradient(scenario, x)[2]
+                mean = float(np.mean(gradient))
+                expected = float(np.max(np.abs(gradient - mean)) / mean)
+                assert kkt_residual(scenario, report.allocation) == expected
+                assert kkt_residual(scenario, report.allocation) == expected  # and again
 
     def test_requires_full_budget(self, paris):
         partial = cle_rule(paris, 0.5)
