@@ -10,9 +10,9 @@ optimal softmax split when locations differ a lot.
 
 import sys
 
-from choicealloc import DEFAULT_ALPHA_PAIRS, SweepSpec, attractiveness_sweep
+from choicealloc import DEFAULT_ALPHA_PAIRS, attractiveness_sweep
 
-table = attractiveness_sweep(SweepSpec(alpha_pairs=DEFAULT_ALPHA_PAIRS))
+table = attractiveness_sweep(DEFAULT_ALPHA_PAIRS)
 table.to_csv(sys.stdout)
 
 symmetric = table.row("5.0")

@@ -12,7 +12,6 @@ in k.
 import sys
 
 from choicealloc import (
-    SweepSpec,
     attractiveness_scaling_table,
     budget_for_target,
     paris_scenario,
@@ -22,7 +21,7 @@ from choicealloc import (
 factors = (1.0, 1.1, 1.2, 1.3, 1.4)
 
 print("Optimal allocations as attractiveness scales by k:\n")
-table = attractiveness_scaling_table(SweepSpec(scale_factors=factors))
+table = attractiveness_scaling_table(factors)
 table.to_csv(sys.stdout)
 
 # The quiet-day optimum achieves ~0.92%; find the budget that restores it.

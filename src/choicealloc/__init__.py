@@ -19,9 +19,7 @@ from .allocator import (
 from .experiments import (
     DEFAULT_ALPHA_PAIRS,
     DEFAULT_RULE_GAMMAS,
-    DEFAULT_SCALE_FACTORS,
     ExperimentTable,
-    SweepSpec,
     attractiveness_scaling_table,
     attractiveness_sweep,
     budget_for_target,
@@ -37,12 +35,9 @@ from .model import (
     Scenario,
     ScenarioError,
     check_feasible,
-    deterministic_utility,
     entry_keys,
     evaluate,
     flatten,
-    gradient_B,
-    surrogate_B,
     unflatten,
 )
 from .simulate import OPT_OUT, ChoiceSample, sample_choices
@@ -58,7 +53,6 @@ __all__ = [
     "DEFAULT_ALPHA_PAIRS",
     "DEFAULT_GAMMA_GRID",
     "DEFAULT_RULE_GAMMAS",
-    "DEFAULT_SCALE_FACTORS",
     "Evaluation",
     "ExperimentTable",
     "OPT_OUT",
@@ -66,7 +60,6 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "SolveReport",
-    "SweepSpec",
     "attractiveness_scaling_table",
     "attractiveness_sweep",
     "best_gamma",
@@ -74,11 +67,9 @@ __all__ = [
     "celp_rule",
     "check_feasible",
     "cle_rule",
-    "deterministic_utility",
     "entry_keys",
     "evaluate",
     "flatten",
-    "gradient_B",
     "kkt_residual",
     "paris_scenario",
     "rule_comparison_table",
@@ -86,6 +77,5 @@ __all__ = [
     "solve_closed_form",
     "solve_numerical",
     "solution_table",
-    "surrogate_B",
     "unflatten",
 ]

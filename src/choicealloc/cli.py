@@ -26,7 +26,6 @@ from .allocator import DEFAULT_GAMMA_GRID, RULES, best_gamma, solve_closed_form
 from .experiments import (
     DEFAULT_RULE_GAMMAS,
     ExperimentTable,
-    SweepSpec,
     attractiveness_scaling_table,
     attractiveness_sweep,
     budget_for_target,
@@ -205,11 +204,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _comma_floats(text: str) -> list[float]:
+def _comma_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise _UsageError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise _UsageError(f"{flag} needs at least one number")
+    return values
 
 
 @functools.cache
@@ -311,6 +313,8 @@ def _cmd_evaluate(scenario_file: ScenarioFile, args) -> _Result:
 def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
     scenario = scenario_file.scenario
     rules = [r.strip().lower() for r in args.rules.split(",") if r.strip()]
+    if not rules:
+        raise _UsageError("--rules needs at least one rule")
     for rule in rules:
         if rule not in RULES:
             raise _UsageError(f"unknown rule {rule!r}")
@@ -320,7 +324,7 @@ def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
             gamma, _ = best_gamma(scenario, rule, DEFAULT_GAMMA_GRID)
             rows.append((f"{rule.upper()}(gamma*={gamma!r})", RULES[rule](scenario, gamma)))
     else:
-        gammas = _comma_floats(args.gamma)
+        gammas = _comma_floats(args.gamma, "--gamma")
         for rule in rules:
             for gamma in gammas:
                 rows.append((f"{rule.upper()}({gamma!r})", RULES[rule](scenario, gamma)))
@@ -328,13 +332,13 @@ def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
 
 
 def _cmd_sweep(scenario_file: ScenarioFile, args) -> _Result:
-    pairs = tuple((a1, 10.0 - a1) for a1 in _comma_floats(args.alpha1))
-    return attractiveness_sweep(SweepSpec(alpha_pairs=pairs), base=scenario_file.scenario), EXIT_OK
+    pairs = tuple((a1, 10.0 - a1) for a1 in _comma_floats(args.alpha1, "--alpha1"))
+    return attractiveness_sweep(pairs, base=scenario_file.scenario), EXIT_OK
 
 
 def _cmd_scale(scenario_file: ScenarioFile, args) -> _Result:
-    spec = SweepSpec(scale_factors=tuple(_comma_floats(args.k)))
-    return attractiveness_scaling_table(spec, base=scenario_file.scenario), EXIT_OK
+    factors = tuple(_comma_floats(args.k, "--k"))
+    return attractiveness_scaling_table(factors, base=scenario_file.scenario), EXIT_OK
 
 
 def _cmd_budget_for(scenario_file: ScenarioFile, args) -> _Result:
@@ -368,6 +372,8 @@ def _cmd_simulate(scenario_file: ScenarioFile, args) -> _Result:
 
 
 def _cmd_verify(scenario_file: ScenarioFile, args) -> _Result:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     scenario = scenario_file.scenario
     closed = solve_closed_form(scenario)
     numerical = solve_numerical(scenario)

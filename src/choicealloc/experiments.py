@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 from typing import TextIO
@@ -33,8 +32,6 @@ DEFAULT_RULE_GAMMAS: tuple[float, ...] = (0.25, 0.5, 0.75)
 DEFAULT_ALPHA_PAIRS: tuple[tuple[float, float], ...] = tuple(
     (1.0 + 0.5 * i, 9.0 - 0.5 * i) for i in range(17)
 )
-
-DEFAULT_SCALE_FACTORS: tuple[float, ...] = (1.0, 1.1, 1.2, 1.3)
 
 
 @dataclass(frozen=True)
@@ -61,23 +58,12 @@ class ExperimentTable:
                 return dict(zip(self.columns, values))
         raise KeyError(f"no row labelled {label!r} in table {self.name!r}")
 
-    def value(self, label: str, column: str) -> float:
-        cells = self.row(label)
-        if column not in cells:
-            raise KeyError(f"no column {column!r} in table {self.name!r}")
-        return cells[column]
-
     def to_csv(self, stream: TextIO) -> None:
         """RFC 4180 CSV; numbers use shortest round-trip decimal form."""
         writer = csv.writer(stream)
         writer.writerow(["label", *self.columns])
         for label, values in self.rows:
             writer.writerow([label, *[str(v) for v in values]])
-
-    def to_csv_text(self) -> str:
-        buffer = io.StringIO()
-        self.to_csv(buffer)
-        return buffer.getvalue()
 
     def as_json_dict(self) -> dict:
         """The table as JSON-ready data; a nan or infinite cell becomes None (null)."""
@@ -89,27 +75,6 @@ class ExperimentTable:
                 for label, values in self.rows
             ],
         }
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Inputs for the sweep experiments; exactly the axis a sweep needs.
-
-    alpha_pairs feeds :func:`attractiveness_sweep` (each pair must sum to the
-    fixed total of 10); scale_factors feeds
-    :func:`attractiveness_scaling_table`.
-    """
-
-    alpha_pairs: tuple[tuple[float, float], ...] = ()
-    scale_factors: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        pairs = tuple((float(a), float(b)) for a, b in self.alpha_pairs)
-        factors = tuple(float(k) for k in self.scale_factors)
-        object.__setattr__(self, "alpha_pairs", pairs)
-        object.__setattr__(self, "scale_factors", factors)
-        if not pairs and not factors:
-            raise ValueError("SweepSpec needs alpha_pairs or scale_factors")
 
 
 def paris_scenario(scale: float = 1.0) -> Scenario:
@@ -193,26 +158,28 @@ def rule_comparison_table(
 
 
 def attractiveness_sweep(
-    spec: SweepSpec,
+    alpha_pairs: tuple[tuple[float, float], ...],
     base: Scenario | None = None,
     grid: tuple[float, ...] = DEFAULT_GAMMA_GRID,
 ) -> ExperimentTable:
     """Optimal versus best-gamma heuristics as a pair of alphas shifts.
 
-    The base scenario must have exactly two locations; each (a1, a2) pair
-    replaces their attractiveness and must sum to the sweep's fixed total of
-    10 so only the asymmetry varies. For every pair the heuristics are tuned
-    over the gamma grid. Where CELP is undefined (celp_rule refuses an
-    alpha of 0), that pair's CELP cells are nan.
+    The base scenario must have exactly two locations. alpha_pairs must be
+    nonempty; each (a1, a2) pair, taken as floats, replaces their
+    attractiveness and must sum to the sweep's fixed total of 10 so only the
+    asymmetry varies. Rows are labelled repr(a1). For every pair the
+    heuristics are tuned over the gamma grid. Where CELP is undefined
+    (celp_rule refuses an alpha of 0), that pair's CELP cells are nan.
     """
     base = base or paris_scenario()
     if len(base.locations) != 2:
         raise ValueError(
             f"attractiveness sweep needs exactly two locations, got {len(base.locations)}"
         )
-    if not spec.alpha_pairs:
-        raise ValueError("SweepSpec.alpha_pairs is empty")
-    for a1, a2 in spec.alpha_pairs:
+    alpha_pairs = tuple((float(a1), float(a2)) for a1, a2 in alpha_pairs)
+    if not alpha_pairs:
+        raise ValueError("alpha_pairs is empty")
+    for a1, a2 in alpha_pairs:
         if abs(a1 + a2 - 10.0) > 1e-9:
             raise ValueError(f"alpha pair ({a1}, {a2}) must sum to 10")
 
@@ -232,7 +199,7 @@ def attractiveness_sweep(
         values = (a1, a2, 100.0 * optimal, cle_g, 100.0 * cle_eval.overall, *celp)
         return repr(a1), values
 
-    rows = [run(pair) for pair in spec.alpha_pairs]
+    rows = [run(pair) for pair in alpha_pairs]
     return ExperimentTable(
         name="attractiveness_sweep",
         columns=(
@@ -249,18 +216,20 @@ def attractiveness_sweep(
 
 
 def attractiveness_scaling_table(
-    spec: SweepSpec, base: Scenario | None = None
+    scale_factors: tuple[float, ...], base: Scenario | None = None
 ) -> ExperimentTable:
     """Optimal allocations as every location's attractiveness scales by k.
 
-    Block totals (central, local, and each local resource summed over
-    locations) are emitted alongside; they are invariant in k because the
-    optimum splits the budget by sensitivities alone.
+    scale_factors must be nonempty, and each k, taken as a float, >= 0; rows
+    are labelled repr(k). Block totals (central, local, and each local
+    resource summed over locations) are emitted alongside; they are invariant
+    in k because the optimum splits the budget by sensitivities alone.
     """
     base = base or paris_scenario()
-    if not spec.scale_factors:
-        raise ValueError("SweepSpec.scale_factors is empty")
-    for k in spec.scale_factors:
+    scale_factors = tuple(float(k) for k in scale_factors)
+    if not scale_factors:
+        raise ValueError("scale_factors is empty")
+    for k in scale_factors:
         if k < 0:
             raise ValueError(f"scale factors must be >= 0, got {k}")
 
@@ -291,7 +260,7 @@ def attractiveness_scaling_table(
         )
         return repr(k), tuple(values)
 
-    rows = [run(k) for k in spec.scale_factors]
+    rows = [run(k) for k in scale_factors]
     return ExperimentTable(
         name="attractiveness_scaling", columns=tuple(columns), rows=tuple(rows)
     )

@@ -55,7 +55,7 @@ FEASIBILITY_SLACK = 1e-9
 
 
 class ScenarioError(ValueError):
-    """A scenario violates one of its invariants, or references an unknown id."""
+    """A scenario violates one of its invariants."""
 
 
 class AllocationError(ValueError):
@@ -399,42 +399,6 @@ def _log_state(scenario: Scenario, allocation: Allocation) -> tuple[np.ndarray, 
     if state is None:
         state = allocation.__dict__["_log_state"] = _log_gradient(scenario, x)
     return state
-
-
-def deterministic_utility(scenario: Scenario, allocation: Allocation, location: str) -> float:
-    """V at one location: alpha minus beta-weighted logs of the relevant entries."""
-    if location not in scenario.location_ids:
-        raise ScenarioError(f"unknown location id {location!r}")
-    v = _utilities(scenario, _vector(scenario, allocation))
-    return float(v[scenario.location_ids.index(location)])
-
-
-def surrogate_B(scenario: Scenario, allocation: Allocation) -> float:
-    """Surrogate value B, the sum over locations of exp(alpha) / prod(x ** beta).
-
-    Requires positive entries matching the scenario; the budget bound is not
-    needed here (B is defined on all positive allocations).
-    """
-    return _exp_or_inf(_log_sum_exp(_utilities(scenario, _vector(scenario, allocation))))
-
-
-def gradient_B(scenario: Scenario, allocation: Allocation) -> dict[tuple[str, str] | str, float]:
-    """Partial derivatives of B, keyed like the allocation's entries.
-
-    For a local entry of location i the derivative is -beta * exp(V_i) / x;
-    for a central entry it is -beta * B / x. Each is formed as
-    -exp(ln beta + l - ln x) with l = V_i or ln B, so a component is exact
-    whenever it is representable: a location whose choice weight underflows
-    still gets its own derivative, and a component past the double range
-    reads -inf.
-    """
-    x = _vector(scenario, allocation)
-    v = _utilities(scenario, x)
-    ell = np.concatenate([np.repeat(v, scenario._local_shape[1]),
-                          np.full(len(scenario.central_ids), _log_sum_exp(v))])
-    with np.errstate(over="ignore"):
-        g = -np.exp(np.log(scenario._beta) + ell - np.log(x))
-    return dict(zip(entry_keys(scenario), g.tolist()))
 
 
 def evaluate(scenario: Scenario, allocation: Allocation) -> Evaluation:

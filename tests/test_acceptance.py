@@ -14,7 +14,6 @@ import pytest
 from choicealloc import (
     Allocation,
     DEFAULT_GAMMA_GRID,
-    SweepSpec,
     attractiveness_scaling_table,
     attractiveness_sweep,
     budget_for_target,
@@ -134,7 +133,7 @@ def test_c05_attractiveness_sweep_reference_points():
     assert DEFAULT_GAMMA_GRID == tuple(g / 100 for g in range(1, 100))
     pairs = tuple((a1, 10.0 - a1) for a1 in (1.0 + 0.5 * i for i in range(17)))
     start = time.perf_counter()
-    table = attractiveness_sweep(SweepSpec(alpha_pairs=pairs))
+    table = attractiveness_sweep(pairs)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
 
@@ -153,7 +152,7 @@ def test_c05_attractiveness_sweep_reference_points():
 
 
 def test_c06_uniform_scaling_rows():
-    table = attractiveness_scaling_table(SweepSpec(scale_factors=(1.0, 1.1, 1.2, 1.3)))
+    table = attractiveness_scaling_table((1.0, 1.1, 1.2, 1.3))
     expected = {
         "1.0": ((5.000, 9.000, 6.000, 6.000, 4.000), 0.92),
         # Last entry 3.903 (not 3.093): the digits follow from the optimality

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import choicealloc
+from choicealloc import cli
 from choicealloc.cli import (
     EXIT_CLOSED_OUTPUT,
     EXIT_INVALID_INPUT,
@@ -274,6 +275,23 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, [command, paris_path, *flags, "--tolerance", "1e-3"])
             assert code == EXIT_USAGE, command
             assert out == "" and "--tolerance" in err, command
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_unusable_tolerance_is_invalid_input(self, capsys, monkeypatch, paris_path, tolerance):
+        def no_solve(scenario):
+            raise AssertionError("verify solved before checking --tolerance")
+
+        monkeypatch.setattr(cli, "solve_closed_form", no_solve)
+        code, out, err = run_cli(capsys, ["verify", paris_path, "--tolerance", tolerance])
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and "--tolerance must be finite and >= 0" in err
+
+    def test_empty_list_flag_is_usage_error(self, capsys, paris_path):
+        for command, flag in [("compare", "--gamma"), ("compare", "--rules"),
+                              ("sweep", "--alpha1"), ("scale", "--k")]:
+            code, out, err = run_cli(capsys, [command, paris_path, flag, ","])
+            assert code == EXIT_USAGE, flag
+            assert out == "" and f"usage error: {flag} needs at least one" in err, flag
 
     def test_closed_stdout_is_not_invalid_input(self, capsys, monkeypatch, paris_path):
         class ClosedPipe(io.StringIO):

@@ -7,7 +7,6 @@ import pytest
 
 from choicealloc import (
     ExperimentTable,
-    SweepSpec,
     attractiveness_scaling_table,
     attractiveness_sweep,
     budget_for_target,
@@ -33,12 +32,12 @@ def comparison_table():
 @pytest.fixture(scope="module")
 def sweep_table():
     pairs = ((1.0, 9.0), (3.0, 7.0), (5.0, 5.0))
-    return attractiveness_sweep(SweepSpec(alpha_pairs=pairs))
+    return attractiveness_sweep(pairs)
 
 
 @pytest.fixture(scope="module")
 def scaling_table():
-    return attractiveness_scaling_table(SweepSpec(scale_factors=(1.0, 1.1, 1.2, 1.3)))
+    return attractiveness_scaling_table((1.0, 1.1, 1.2, 1.3))
 
 
 class TestRuleComparison:
@@ -113,9 +112,9 @@ class TestAttractivenessSweep:
 
     def test_rejects_bad_pairs(self):
         with pytest.raises(ValueError, match="sum to 10"):
-            attractiveness_sweep(SweepSpec(alpha_pairs=((3.0, 4.0),)))
-        with pytest.raises(ValueError, match="alpha_pairs"):
-            attractiveness_sweep(SweepSpec(scale_factors=(1.0,)))
+            attractiveness_sweep(((3.0, 4.0),))
+        with pytest.raises(ValueError, match="alpha_pairs is empty"):
+            attractiveness_sweep(())
 
     def test_rejects_wrong_location_count(self):
         three_locations = dataclasses.replace(
@@ -123,7 +122,7 @@ class TestAttractivenessSweep:
             locations=(("a", 1.0), ("b", 2.0), ("c", 3.0)),
         )
         with pytest.raises(ValueError, match="two locations"):
-            attractiveness_sweep(SweepSpec(alpha_pairs=((5.0, 5.0),)), base=three_locations)
+            attractiveness_sweep(((5.0, 5.0),), base=three_locations)
 
 
 class TestScalingTable:
@@ -162,7 +161,19 @@ class TestScalingTable:
 
     def test_rejects_negative_factors(self):
         with pytest.raises(ValueError, match=">= 0"):
-            attractiveness_scaling_table(SweepSpec(scale_factors=(-1.0,)))
+            attractiveness_scaling_table((-1.0,))
+
+    def test_rejects_no_factors(self):
+        with pytest.raises(ValueError, match="scale_factors is empty"):
+            attractiveness_scaling_table(())
+
+    def test_labels_are_float_reprs(self):
+        # Integer inputs are taken as floats, so labels read "1.0", not "1".
+        sweep = attractiveness_sweep(((5, 5),))
+        assert [label for label, _ in sweep.rows] == ["5.0"]
+        assert sweep.rows[0][1][:2] == (5.0, 5.0)
+        scaling = attractiveness_scaling_table((1, 2))
+        assert [label for label, _ in scaling.rows] == ["1.0", "2.0"]
 
 
 class TestBudgetForTarget:
@@ -197,16 +208,15 @@ class TestExperimentTable:
 
     def test_accessors(self):
         table = ExperimentTable(name="t", columns=("a",), rows=(("r", (2.5,)),))
-        assert table.value("r", "a") == 2.5
+        assert table.row("r") == {"a": 2.5}
         with pytest.raises(KeyError):
             table.row("missing")
-        with pytest.raises(KeyError):
-            table.value("r", "missing")
 
     def test_csv_full_precision_roundtrip(self):
         table = rule_comparison_table()
-        text = table.to_csv_text()
-        rows = list(csv.reader(io.StringIO(text)))
+        buffer = io.StringIO()
+        table.to_csv(buffer)
+        rows = list(csv.reader(io.StringIO(buffer.getvalue())))
         assert rows[0] == ["label", *table.columns]
         for (label, values), parsed in zip(table.rows, rows[1:]):
             assert parsed[0] == label
@@ -214,7 +224,9 @@ class TestExperimentTable:
 
     def test_csv_uses_crlf(self):
         table = ExperimentTable(name="t", columns=("a",), rows=(("r", (1.0,)),))
-        assert "\r\n" in table.to_csv_text()
+        buffer = io.StringIO()
+        table.to_csv(buffer)
+        assert "\r\n" in buffer.getvalue()
 
     def test_json_dict_shape(self):
         table = ExperimentTable(name="t", columns=("a",), rows=(("r", (1.0,)),))
@@ -224,7 +236,3 @@ class TestExperimentTable:
             "columns": ["a"],
             "rows": [{"label": "r", "values": [1.0]}],
         }
-
-    def test_sweep_spec_needs_an_axis(self):
-        with pytest.raises(ValueError, match="alpha_pairs or scale_factors"):
-            SweepSpec()

@@ -17,17 +17,15 @@ from choicealloc import (
     ScenarioError,
     budget_for_target,
     check_feasible,
-    deterministic_utility,
     entry_keys,
     evaluate,
     flatten,
-    gradient_B,
     kkt_residual,
     paris_scenario,
     solve_closed_form,
-    surrogate_B,
     unflatten,
 )
+from choicealloc.model import _log_gradient
 from helpers import example_two, random_allocation, random_scenario, tiny_share_scenario
 
 
@@ -123,7 +121,7 @@ class TestAllocationValidation:
             evaluate(paris, missing)
         extra = Allocation(local=dict(paris_plan.local), central={"campaign": 15.0, "other": 1.0})
         with pytest.raises(AllocationError, match="central keys"):
-            surrogate_B(paris, extra)
+            evaluate(paris, extra)
 
     def test_budget_slack(self, paris, paris_plan):
         check_feasible(paris, paris_plan)
@@ -140,7 +138,7 @@ class TestAllocationValidation:
 class TestDeterministicUtility:
     def test_city_value(self, paris, paris_plan):
         # alpha - 3 ln 3 - 2 ln 6 - ln 15 collapses to ln(729 / (27 * 36 * 15)).
-        v = deterministic_utility(paris, paris_plan, "louvre")
+        v = evaluate(paris, paris_plan).utilities["louvre"]
         assert v == pytest.approx(math.log(0.05), rel=1e-12)
 
     def test_zero_alpha_unit_entries(self):
@@ -151,34 +149,32 @@ class TestDeterministicUtility:
             budget=5.0,
         )
         allocation = Allocation(local={("l", "r"): 1.0}, central={"c": 1.0})
-        assert deterministic_utility(scenario, allocation, "l") == 0.0
-
-    def test_unknown_location(self, paris, paris_plan):
-        with pytest.raises(ScenarioError, match="unknown location"):
-            deterministic_utility(paris, paris_plan, "notre-dame")
+        assert evaluate(scenario, allocation).utilities == {"l": 0.0}
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
             scenario = random_scenario(rng, max_locations=3, max_local=2, max_central=2)
             allocation = random_allocation(rng, scenario)
+            utilities = evaluate(scenario, allocation).utilities
             for loc, alpha in scenario.locations:
                 expected = alpha
                 for res, beta in scenario.local_resources:
                     expected -= beta * math.log(allocation.local[(loc, res)])
                 for res, beta in scenario.central_resources:
                     expected -= beta * math.log(allocation.central[res])
-                got = deterministic_utility(scenario, allocation, loc)
-                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+                assert utilities[loc] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_agrees_exactly_with_evaluate(self):
+        # The certificates and evaluate read one V and one ln B.
         rng = np.random.default_rng(0)
         for _ in range(200):
             scenario = random_scenario(rng)
             allocation = random_allocation(rng, scenario)
-            utilities = evaluate(scenario, allocation).utilities
-            for loc in scenario.location_ids:
-                assert deterministic_utility(scenario, allocation, loc) == utilities[loc]
+            evaluation = evaluate(scenario, allocation)
+            v, ln_b, _ = _log_gradient(scenario, flatten(scenario, allocation))
+            assert v.tolist() == list(evaluation.utilities.values())
+            assert ln_b == evaluation.ln_surrogate
 
 
 class TestEvaluate:
@@ -274,12 +270,12 @@ class TestSurrogate:
         # Hand arithmetic: 729/(27*36*15) + 64/(8*16*15) = 1/20 + 1/30 = 1/12.
         expected = Fraction(729, 27 * 36 * 15) + Fraction(64, 8 * 16 * 15)
         assert expected == Fraction(1, 12)
-        assert surrogate_B(paris, paris_plan) == pytest.approx(float(expected), rel=1e-12)
+        assert evaluate(paris, paris_plan).surrogate == pytest.approx(float(expected), rel=1e-12)
 
     def test_unit_entries(self):
         scenario = example_two()
         allocation = Allocation(local={("1", "3"): 1.0, ("2", "3"): 1.0}, central={})
-        assert surrogate_B(scenario, allocation) == pytest.approx(2.0, rel=1e-12)
+        assert evaluate(scenario, allocation).surrogate == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_logit_route(self):
         rng = np.random.default_rng(11)
@@ -288,15 +284,17 @@ class TestSurrogate:
             allocation = random_allocation(rng, scenario)
             e = evaluate(scenario, allocation)
             logit_sum = math.fsum(math.exp(v) for v in e.utilities.values())
-            assert surrogate_B(scenario, allocation) == pytest.approx(logit_sum, rel=1e-12)
+            assert e.surrogate == pytest.approx(logit_sum, rel=1e-12)
 
     def test_ignores_budget_bound(self, paris, paris_plan):
-        # B is defined for any positive allocation, feasible or not.
+        # ln B is defined for any positive allocation, feasible or not: doubling
+        # every entry divides B by 2 ** (3 + 2 + 1).
         doubled = Allocation(
             local={k: 2 * v for k, v in paris_plan.local.items()},
             central={k: 2 * v for k, v in paris_plan.central.items()},
         )
-        assert surrogate_B(paris, doubled) > 0.0
+        _, ln_b, _ = _log_gradient(paris, flatten(paris, doubled))
+        assert ln_b == pytest.approx(math.log(1 / 12) - 6 * math.log(2.0), rel=1e-12)
         with pytest.raises(AllocationError):
             evaluate(paris, doubled)
 
@@ -366,51 +364,35 @@ class TestScale:
 
 
 class TestGradient:
+    """dB/dx = -B * r, with B and r from :func:`_log_gradient`."""
+
     def test_unit_entry_value(self):
         scenario = example_two()
-        allocation = Allocation(local={("1", "3"): 1.0, ("2", "3"): 1.0}, central={})
-        g = gradient_B(scenario, allocation)
-        assert g[("1", "3")] == pytest.approx(-4.0, rel=1e-12)
+        _, ln_b, r = _log_gradient(scenario, np.array([1.0, 1.0]))
+        assert -math.exp(ln_b) * r[0] == pytest.approx(-4.0, rel=1e-12)
 
     def test_all_components_equal_multiplier_at_optimum(self, paris):
         report = solve_closed_form(paris)
         # Exact multiplier by rational arithmetic: -(5^6 * 6^7) / (30^7 * 1 * 27 * 4).
         expected = -Fraction(5**6 * 6**7, 30**7 * (1**1 * 3**3 * 2**2))
         assert expected == Fraction(-1, 540)
-        g = gradient_B(paris, report.allocation)
-        for value in g.values():
+        _, ln_b, r = _log_gradient(paris, flatten(paris, report.allocation))
+        for value in (-math.exp(ln_b) * r).tolist():
             assert value == pytest.approx(float(expected), rel=1e-10)
 
     @pytest.mark.filterwarnings("error")
     def test_saturated_surrogate_gives_no_nan(self):
-        # B = e^800 overflows and location b's choice weight underflows to 0.
+        # B = e^800 overflows and location b's choice weight underflows to 0,
+        # while ln B and r stay finite.
         scenario = Scenario(
             locations=(("a", 800.0), ("b", 0.0)),
             local_resources=(("r", 1.0),),
             central_resources=(("c", 1.0),),
             budget=4.0,
         )
-        g = gradient_B(scenario, unflatten(scenario, [1.0, 1.0, 2.0]))
-        assert g == {("a", "r"): -math.inf, ("b", "r"): -0.5, "c": -math.inf}
-
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            scenario = random_scenario(rng, alpha_range=(0.0, 3.0))
-            allocation = random_allocation(rng, scenario, weight_range=(0.7, 1.0))
-            g = gradient_B(scenario, allocation)
-            x = flatten(scenario, allocation)
-            keys = entry_keys(scenario)
-            for idx, key in enumerate(keys):
-                h = 1e-6 * x[idx]
-                up, down = x.copy(), x.copy()
-                up[idx] += h
-                down[idx] -= h
-                fd = (
-                    surrogate_B(scenario, unflatten(scenario, up))
-                    - surrogate_B(scenario, unflatten(scenario, down))
-                ) / (2 * h)
-                assert g[key] == pytest.approx(fd, rel=1e-5)
+        _, ln_b, r = _log_gradient(scenario, np.array([1.0, 1.0, 2.0]))
+        assert ln_b == pytest.approx(800.0 - math.log(2.0), rel=1e-15)
+        assert r.tolist() == [1.0, 0.0, 0.5]
 
 
 class TestFlattening:
@@ -632,7 +614,8 @@ class TestArrayBackedEvaluation:
         assert evaluation.per_location is per_location
         assert evaluation.utilities is utilities
         assert list(per_location) == list(utilities) == ["louvre", "eiffel"]
-        assert utilities["louvre"] == deterministic_utility(paris, paris_plan, "louvre")
+        v = _log_gradient(paris, flatten(paris, paris_plan))[0]
+        assert list(utilities.values()) == v.tolist()
 
 
 class TestPositivityFloor:

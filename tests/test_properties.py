@@ -9,14 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from choicealloc import (
-    entry_keys,
-    evaluate,
-    flatten,
-    gradient_B,
-    surrogate_B,
-    unflatten,
-)
+from choicealloc import evaluate, flatten, unflatten
+from choicealloc.model import _log_gradient
 from helpers import random_allocation, random_scenario
 
 CASES = 100
@@ -53,10 +47,10 @@ def test_surrogate_is_homogeneous_in_the_allocation():
         beta_sum = math.fsum(
             b for _, b in scenario.local_resources + scenario.central_resources
         )
-        base = surrogate_B(scenario, allocation)
+        base = evaluate(scenario, allocation).surrogate
         t = float(rng.uniform(0.5, 2.0))
         scaled = unflatten(scenario, t * flatten(scenario, allocation))
-        assert surrogate_B(scenario, scaled) == pytest.approx(
+        assert evaluate(scenario, scaled).surrogate == pytest.approx(
             t ** (-beta_sum) * base, rel=1e-10
         )
 
@@ -85,27 +79,25 @@ def test_spending_more_anywhere_strictly_helps():
         bumped = x.copy()
         bumped[index] += 0.05 * scenario.budget
         augmented = unflatten(scenario, bumped)
-        assert surrogate_B(scenario, augmented) < surrogate_B(scenario, allocation)
-        assert evaluate(scenario, augmented).overall < evaluate(scenario, allocation).overall
+        before, after = evaluate(scenario, allocation), evaluate(scenario, augmented)
+        assert after.surrogate < before.surrogate
+        assert after.overall < before.overall
 
 
 def test_gradient_matches_central_finite_differences():
-    # Tighter instance ranges keep the surrogate terms comparable, which the
-    # difference quotient needs; the analytic gradient itself has no such limit.
+    # dB/dx = -B * r, so d(ln B)/dx = -r. Tighter instance ranges keep the
+    # surrogate terms comparable, which the difference quotient needs; the
+    # analytic gradient itself has no such limit.
     rng = np.random.default_rng(606)
     for _ in range(CASES):
         scenario = random_scenario(rng, alpha_range=(0.0, 3.0))
         allocation = random_allocation(rng, scenario, weight_range=(0.7, 1.0))
-        gradient = gradient_B(scenario, allocation)
         x = flatten(scenario, allocation)
-        keys = entry_keys(scenario)
-        index = int(rng.integers(0, x.size))
-        step = 1e-6 * x[index]
-        up, down = x.copy(), x.copy()
-        up[index] += step
-        down[index] -= step
-        quotient = (
-            surrogate_B(scenario, unflatten(scenario, up))
-            - surrogate_B(scenario, unflatten(scenario, down))
-        ) / (2.0 * step)
-        assert gradient[keys[index]] == pytest.approx(quotient, rel=1e-5)
+        r = _log_gradient(scenario, x)[2]
+        for index in range(x.size):
+            step = 1e-6 * x[index]
+            up, down = x.copy(), x.copy()
+            up[index] += step
+            down[index] -= step
+            ln_b_up, ln_b_down = _log_gradient(scenario, up)[1], _log_gradient(scenario, down)[1]
+            assert -r[index] == pytest.approx((ln_b_up - ln_b_down) / (2.0 * step), rel=1e-5)

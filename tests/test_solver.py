@@ -9,12 +9,12 @@ from choicealloc import (
     ConvergenceError,
     Scenario,
     cle_rule,
+    evaluate,
     flatten,
     kkt_residual,
     paris_scenario,
     solve_closed_form,
     solve_numerical,
-    surrogate_B,
     unflatten,
 )
 from choicealloc import model, solver
@@ -51,7 +51,7 @@ class TestNumericalSolve:
     def test_descends_from_uniform_start(self, paris):
         uniform = unflatten(paris, np.full(paris.n_entries, paris.budget / paris.n_entries))
         report = solve_numerical(paris)
-        assert report.evaluation.surrogate <= surrogate_B(paris, uniform)
+        assert report.evaluation.surrogate <= evaluate(paris, uniform).surrogate
 
     def test_nonconvergence_reports_last_iterate(self, paris, monkeypatch):
         # One descent step and no Newton step leave Paris far from stationary.
