@@ -21,6 +21,7 @@ from .model import (
     Scenario,
     _evaluation,
     _exp_or_inf,
+    _local_columns,
     _log_state,
     evaluate,
 )
@@ -74,9 +75,8 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     residual is then inf unless it is exactly 0. The allocation keeps the
     certificate, so ``kkt_residual`` of it reuses it.
     """
-    all_betas = [b for _, b in scenario.local_resources + scenario.central_resources]
-    beta_sum = math.fsum(all_betas)
-    local_beta_sum = math.fsum(b for _, b in scenario.local_resources)
+    beta_sum = scenario._beta_total
+    local_beta_sum = scenario._local_beta_total
     r = scenario.budget
 
     scaled = scenario._alpha / (1.0 + local_beta_sum)
@@ -93,7 +93,8 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
         )
 
     x = scenario._beta * r / beta_sum
-    x[: scenario._n_local] *= np.repeat(shares, scenario._local_shape[1])
+    for column in _local_columns(scenario, x):
+        column *= shares
     allocation = Allocation._from_vector(scenario, x)
 
     # Multiplier from the stationarity condition, assembled in the log domain
@@ -101,7 +102,7 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     ln_lam = (
         (1.0 + local_beta_sum) * log_weight_sum
         + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))
-        - math.fsum(b * math.log(b) for b in all_betas)
+        - scenario._beta_log_beta_total
     )
     v, ln_b, gradient = _log_state(scenario, allocation)
     return SolveReport(
@@ -116,7 +117,8 @@ def _stationarity_residual(ln_b: float, gradient: np.ndarray, level: float) -> f
     """max_k |dB/dx_k - multiplier| for the multiplier -B * level, where B's
     gradient is -B * gradient: B * max_k |gradient_k - level|. It is 0 when
     that maximum is, so a saturated B gives inf or 0, never nan."""
-    deviation = float(np.max(np.abs(gradient - level)))
+    # From the gradient's extremes: rounding keeps their order, so this is exact.
+    deviation = max(float(gradient.max()) - level, level - float(gradient.min()))
     return _exp_or_inf(ln_b) * deviation if deviation else 0.0
 
 
@@ -165,7 +167,8 @@ def _rule_allocation(scenario: Scenario, local: float | np.ndarray, central: flo
     """Central on every central entry, and local[i] on each of location i's
     local entries (or local on all of them, when it is one number)."""
     x = np.full(scenario.n_entries, central)
-    x[: scenario._n_local].reshape(scenario._local_shape)[:] = np.reshape(local, (-1, 1))
+    for column in _local_columns(scenario, x):
+        column[:] = local
     return Allocation._from_vector(scenario, x)
 
 
@@ -203,7 +206,6 @@ def best_gamma(
     if not gammas.size:
         raise ValueError("gamma grid must be nonempty")
     central = math.fsum(b for _, b in scenario.central_resources)
-    local = math.fsum(b for _, b in scenario.local_resources)
-    score = -central * np.log(gammas) - local * np.log(1.0 - gammas)
+    score = -central * np.log(gammas) - scenario._local_beta_total * np.log(1.0 - gammas)
     gamma = float(gammas[np.argmin(score)])
     return gamma, evaluate(scenario, RULES[rule](scenario, gamma))

@@ -214,6 +214,16 @@ def _comma_floats(text: str, flag: str) -> list[float]:
     return values
 
 
+def _distinct(values: list, flag: str) -> list:
+    """values, unless one repeats: a repeat would give two rows with one label."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise _UsageError(f"{flag} repeats {value!r}")
+        seen.add(value)
+    return values
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The parser, built once per process; parsing leaves no state on it."""
@@ -318,13 +328,14 @@ def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
     for rule in rules:
         if rule not in RULES:
             raise _UsageError(f"unknown rule {rule!r}")
+    _distinct(rules, "--rules")
     rows: list[tuple[str, Allocation]] = []
     if args.gamma.strip().lower() == "grid":
         for rule in rules:
             gamma, _ = best_gamma(scenario, rule, DEFAULT_GAMMA_GRID)
             rows.append((f"{rule.upper()}(gamma*={gamma!r})", RULES[rule](scenario, gamma)))
     else:
-        gammas = _comma_floats(args.gamma, "--gamma")
+        gammas = _distinct(_comma_floats(args.gamma, "--gamma"), "--gamma")
         for rule in rules:
             for gamma in gammas:
                 rows.append((f"{rule.upper()}({gamma!r})", RULES[rule](scenario, gamma)))
@@ -379,7 +390,7 @@ def _cmd_verify(scenario_file: ScenarioFile, args) -> _Result:
     numerical = solve_numerical(scenario)
     x_closed = flatten(scenario, closed.allocation)
     x_numerical = flatten(scenario, numerical.allocation)
-    entry_rel = float(np.max(np.abs(x_numerical - x_closed) / x_closed))
+    entry_rel = float((np.abs(x_numerical - x_closed) / x_closed).max())
     b_closed = closed.evaluation.surrogate
     b_numerical = numerical.evaluation.surrogate
     # From ln B, so the difference stays finite where B overflows.

@@ -180,7 +180,7 @@ def attractiveness_sweep(
     if not alpha_pairs:
         raise ValueError("alpha_pairs is empty")
     for a1, a2 in alpha_pairs:
-        if abs(a1 + a2 - 10.0) > 1e-9:
+        if not abs(a1 + a2 - 10.0) <= 1e-9:  # also rejects nan and inf
             raise ValueError(f"alpha pair ({a1}, {a2}) must sum to 10")
 
     id1, id2 = base.location_ids
@@ -220,18 +220,19 @@ def attractiveness_scaling_table(
 ) -> ExperimentTable:
     """Optimal allocations as every location's attractiveness scales by k.
 
-    scale_factors must be nonempty, and each k, taken as a float, >= 0; rows
-    are labelled repr(k). Block totals (central, local, and each local
-    resource summed over locations) are emitted alongside; they are invariant
-    in k because the optimum splits the budget by sensitivities alone.
+    scale_factors must be nonempty, and each k, taken as a float, finite and
+    >= 0; rows are labelled repr(k). Block totals (central, local, and each
+    local resource summed over locations) are emitted alongside; they are
+    invariant in k because the optimum splits the budget by sensitivities
+    alone.
     """
     base = base or paris_scenario()
     scale_factors = tuple(float(k) for k in scale_factors)
     if not scale_factors:
         raise ValueError("scale_factors is empty")
     for k in scale_factors:
-        if k < 0:
-            raise ValueError(f"scale factors must be >= 0, got {k}")
+        if not (math.isfinite(k) and k >= 0.0):
+            raise ValueError(f"scale factors must be finite and >= 0, got {k}")
 
     columns = (
         ["k"]
@@ -281,9 +282,7 @@ def budget_for_target(scenario: Scenario, target: float) -> float:
     target = float(target)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target probability must lie strictly between 0 and 1, got {target}")
-    beta_sum = math.fsum(
-        b for _, b in scenario.local_resources + scenario.central_resources
-    )
+    beta_sum = scenario._beta_total
     ln_b_now = solve_closed_form(scenario).evaluation.ln_surrogate
     ln_b_target = math.log(target / (1.0 - target))
     budget = scenario.budget * math.exp((ln_b_now - ln_b_target) / beta_sum)

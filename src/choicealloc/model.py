@@ -34,6 +34,14 @@ betas; r is scale-free, so certificates built on it survive B overflowing.
 An allocation carries one certificate: the (V, ln B, r) first computed for
 it on its scenario are kept with it, so a solve and the ``kkt_residual`` of
 its output share one pass over the entries.
+
+The per-entry kernels read and write the (L, K) local block one column at a
+time, never along a row: K, the number of local resources, is small, and a
+numpy call along so short an axis pays a fixed cost per row that outweighs
+the work on the entries. A column-wise sum adds in the order numpy's row sum
+uses for rows shorter than 8, so it is bit-identical there; from K = 8 numpy
+sums rows pairwise, and the sums differ by round-off only. A vector-built
+allocation sums its ``total`` on first read.
 """
 
 from __future__ import annotations
@@ -152,6 +160,20 @@ class Scenario:
     def _alpha_total(self) -> float:
         return math.fsum(self._alpha.tolist())
 
+    # The closed form's constants: fsums of all betas, of the local betas, and
+    # of beta * ln(beta) over all of them.
+    @cached_property
+    def _beta_total(self) -> float:
+        return math.fsum(b for _, b in self.local_resources + self.central_resources)
+
+    @cached_property
+    def _local_beta_total(self) -> float:
+        return math.fsum(b for _, b in self.local_resources)
+
+    @cached_property
+    def _beta_log_beta_total(self) -> float:
+        return math.fsum(b * math.log(b) for _, b in self.local_resources + self.central_resources)
+
     @cached_property
     def _beta(self) -> np.ndarray:
         local_betas = np.tile([b for _, b in self.local_resources], len(self.locations))
@@ -162,12 +184,12 @@ class Scenario:
         """Built on first use; the vector paths never need it."""
         return tuple((loc, res) for loc in self.location_ids for res in self.local_ids)
 
-    @property
+    @cached_property
     def _local_shape(self) -> tuple[int, int]:
         """(L, K): locations by local resources."""
         return len(self.locations), len(self.local_resources)
 
-    @property
+    @cached_property
     def _n_local(self) -> int:
         return len(self.locations) * len(self.local_resources)
 
@@ -235,31 +257,39 @@ class Allocation(_Record):
         local = {(str(i), str(j)): float(v) for (i, j), v in local.items()}
         central = {str(j): float(v) for j, v in central.items()}
         x = np.array([*local.values(), *central.values()])
-        total = _checked_total(lambda: [*local, *central], x, len(local), POSITIVITY_FLOOR)
-        self.__dict__.update(local=local, central=central, total=total, _scenario=None, _x=None)
+        _check_entries(lambda: [*local, *central], x, POSITIVITY_FLOOR)
+        self.__dict__.update(local=local, central=central, total=_total(x, len(local)),
+                             _scenario=None, _x=None)
 
     @classmethod
     def _from_vector(cls, scenario: Scenario, x: np.ndarray, floor: float = 0.0) -> Allocation:
         """The allocation whose entries are x, in scenario's order; x is kept, not copied."""
-        total = _checked_total(lambda: entry_keys(scenario), x, scenario._n_local, floor)
-        return cls._new(total=total, _scenario=scenario, _x=x)
+        _check_entries(lambda: entry_keys(scenario), x, floor)
+        return cls._new(_scenario=scenario, _x=x)
 
     local = _lazy_dict(lambda a: a._scenario._local_keys, lambda a: a._x[: a._scenario._n_local])
     central = _lazy_dict(lambda a: a._scenario.central_ids, lambda a: a._x[a._scenario._n_local :])
+    # Summed on first read for a vector-built allocation; __init__ sets it.
+    total = cached_property(lambda a: _total(a._x, a._scenario._n_local))
 
 
-def _checked_total(keys, x: np.ndarray, n_local: int, floor: float) -> float:
-    """Sum of x's first n_local entries plus the sum of the rest, each added one
-    at a time as sum() does; raises naming keys()[k] for the first entry k that
-    is not finite and positive, or is below a nonzero floor."""
+def _check_entries(keys, x: np.ndarray, floor: float) -> None:
+    """Raise naming keys()[k] for the first entry k of x that is not finite and
+    positive, or is below a nonzero floor."""
     # x's extremes decide; only a bad entry pays for the scan that names it.
     if x.size and not ((x.min() >= floor if floor else x.min() > 0.0) and x.max() < math.inf):
         bad = np.flatnonzero(~(np.isfinite(x) & ((x >= floor) if floor else (x > 0.0))))
         k = int(bad[0])
         bound = f"at least {floor}" if floor else "positive"
         raise AllocationError(f"entry {keys()[k]!r} must be {bound}, got {float(x[k])}")
-    # cumsum adds in turn; [-1:].sum() is its last value, or 0.0 when empty.
-    return float(np.cumsum(x[:n_local])[-1:].sum() + np.cumsum(x[n_local:])[-1:].sum())
+
+
+def _total(x: np.ndarray, n_local: int) -> float:
+    """Sum of x's first n_local entries plus the sum of the rest, each added one
+    at a time as sum() does."""
+    # cumsum adds in turn; its last value is the sum, and an empty part adds 0.0.
+    local, central = x[:n_local].cumsum(), x[n_local:].cumsum()
+    return (float(local[-1]) if local.size else 0.0) + (float(central[-1]) if central.size else 0.0)
 
 
 class Evaluation(_Record):
@@ -319,7 +349,8 @@ def _vector(scenario: Scenario, allocation: Allocation) -> np.ndarray:
         )
     x = np.array([*map(allocation.local.get, local_keys),
                   *map(allocation.central.get, central_ids)])
-    allocation.__dict__.update(_scenario=scenario, _x=x)
+    # total is read first, so it stays summed in the order the allocation was built in.
+    allocation.__dict__.update(total=allocation.total, _scenario=scenario, _x=x)
     allocation.__dict__.pop("_log_state", None)
     return x
 
@@ -348,30 +379,49 @@ def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
     return Allocation._from_vector(scenario, x, POSITIVITY_FLOOR)
 
 
+def _local_columns(scenario: Scenario, per_entry: np.ndarray) -> np.ndarray:
+    """The (K, L) transposed view of a per-entry vector's (L, K) local block:
+    iterating it yields the K strided columns, column j holding local resource
+    j's entry at every location."""
+    return per_entry[: scenario._n_local].reshape(scenario._local_shape).T
+
+
 def _location_sums(scenario: Scenario, per_entry: np.ndarray) -> np.ndarray:
-    """Per location, the sum of a per-entry vector over the entries in its utility."""
-    n_local = scenario._n_local
-    local = per_entry[:n_local].reshape(scenario._local_shape).sum(axis=1)
-    return local + per_entry[n_local:].sum()
+    """Per location, the sum of a per-entry vector over the entries in its utility.
+
+    The local entries are added column by column from 0.0, which is the order
+    numpy's row sum uses for rows shorter than 8; the central sum comes last.
+    """
+    sums = np.zeros(len(scenario.locations))
+    for column in _local_columns(scenario, per_entry):
+        sums += column
+    sums += per_entry[scenario._n_local :].sum()
+    return sums
 
 
 def _transposed(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     """A^T p for per-location p: per entry, beta times the sum of p over the
     locations whose utility contains it (its own for a local entry, all for a
     central one)."""
-    per_local = np.repeat(p, scenario._local_shape[1])
-    return scenario._beta * np.concatenate([per_local, np.full(len(scenario.central_ids), p.sum())])
+    a = np.empty(scenario.n_entries)
+    for column in _local_columns(scenario, a):
+        column[:] = p
+    a[scenario._n_local :] = p.sum()
+    a *= scenario._beta
+    return a
 
 
 def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
     """Deterministic utilities V_i, which are also the log surrogate terms."""
-    return scenario._alpha - _location_sums(scenario, scenario._beta * np.log(x))
+    terms = np.log(x)
+    terms *= scenario._beta
+    return scenario._alpha - _location_sums(scenario, terms)
 
 
 def _log_sum_exp(v: np.ndarray) -> float:
     """ln B = ln sum_i exp(V_i), shifted by the largest V so nothing overflows."""
-    top = float(np.max(v))
-    return top + math.log(float(np.sum(np.exp(v - top))))
+    top = float(v.max())
+    return top + math.log(float(np.exp(v - top).sum()))
 
 
 def _exp_or_inf(ln_value: float) -> float:
@@ -388,7 +438,9 @@ def _log_gradient(scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, float,
     """
     v = _utilities(scenario, x)
     ln_b = _log_sum_exp(v)
-    return v, ln_b, _transposed(scenario, np.exp(v - ln_b)) / x
+    r = _transposed(scenario, np.exp(v - ln_b))
+    r /= x
+    return v, ln_b, r
 
 
 def _log_state(scenario: Scenario, allocation: Allocation) -> tuple[np.ndarray, float, np.ndarray]:

@@ -293,6 +293,26 @@ class TestExitCodes:
             assert code == EXIT_USAGE, flag
             assert out == "" and f"usage error: {flag} needs at least one" in err, flag
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("sweep", "--alpha1", "nan", "alpha pair (nan, nan) must sum to 10"),
+        ("scale", "--k", "nan", "scale factors must be finite and >= 0, got nan"),
+        ("scale", "--k", "inf", "scale factors must be finite and >= 0, got inf"),
+    ])
+    def test_nonfinite_axis_value_is_named(self, capsys, paris_path, command, flag, value, message):
+        code, out, err = run_cli(capsys, [command, paris_path, flag, value])
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and err == f"invalid input: {message}\n"
+
+    @pytest.mark.parametrize("flags, repeated", [
+        (["--rules", "cle,cle", "--gamma", "0.5"], "--rules repeats 'cle'"),
+        (["--rules", "celp,CLE,cle", "--gamma", "grid"], "--rules repeats 'cle'"),
+        (["--gamma", "0.5,0.25,0.50"], "--gamma repeats 0.5"),
+    ])
+    def test_repeated_compare_entry_is_usage_error(self, capsys, paris_path, flags, repeated):
+        code, out, err = run_cli(capsys, ["compare", paris_path, *flags])
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"usage error: {repeated}\n"
+
     def test_closed_stdout_is_not_invalid_input(self, capsys, monkeypatch, paris_path):
         class ClosedPipe(io.StringIO):
             def write(self, text):

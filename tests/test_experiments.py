@@ -2,6 +2,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import re
 
 import pytest
 
@@ -111,8 +113,9 @@ class TestAttractivenessSweep:
             assert sweep_table.row(label)["cle_gamma"] == pytest.approx(0.17)
 
     def test_rejects_bad_pairs(self):
-        with pytest.raises(ValueError, match="sum to 10"):
-            attractiveness_sweep(((3.0, 4.0),))
+        for pair in ((3.0, 4.0), (math.nan, 10.0), (math.inf, -math.inf)):
+            with pytest.raises(ValueError, match=re.escape(f"alpha pair {pair} must sum to 10")):
+                attractiveness_sweep((pair,))
         with pytest.raises(ValueError, match="alpha_pairs is empty"):
             attractiveness_sweep(())
 
@@ -160,8 +163,9 @@ class TestScalingTable:
             assert row["total[billboards]"] == pytest.approx(10.0, rel=1e-9)
 
     def test_rejects_negative_factors(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            attractiveness_scaling_table((-1.0,))
+        for k in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"finite and >= 0, got {k}$"):
+                attractiveness_scaling_table((1.0, k))
 
     def test_rejects_no_factors(self):
         with pytest.raises(ValueError, match="scale_factors is empty"):

@@ -16,7 +16,9 @@ from choicealloc import (
     Scenario,
     ScenarioError,
     budget_for_target,
+    celp_rule,
     check_feasible,
+    cle_rule,
     entry_keys,
     evaluate,
     flatten,
@@ -25,7 +27,7 @@ from choicealloc import (
     solve_closed_form,
     unflatten,
 )
-from choicealloc.model import _log_gradient
+from choicealloc.model import _location_sums, _log_gradient, _transposed
 from helpers import example_two, random_allocation, random_scenario, tiny_share_scenario
 
 
@@ -537,6 +539,96 @@ class TestOutputCheck:
                 assert allocation.total == total
                 rebuilt = Allocation(local=dict(allocation.local), central=dict(allocation.central))
                 assert rebuilt.total == total
+
+
+class TestColumnKernels:
+    """The (L, K) local block is read and written one column at a time. The
+    references are the row-wise forms: numpy's row sum, np.repeat and an (L, 1)
+    broadcast. Only a sum can move, and only where numpy's row sum switches to
+    pairwise order, at K >= 8."""
+
+    @staticmethod
+    def _shapes():
+        """(L, K, C): the edge shapes, then random ones up to K = 12."""
+        yield from [(1, 0, 1), (1, 1, 0), (1, 1, 1), (6, 0, 2), (6, 1, 0), (1, 9, 0), (3, 8, 2)]
+        rng = np.random.default_rng(31)
+        for _ in range(120):
+            k, c = int(rng.integers(0, 13)), int(rng.integers(0, 3))
+            yield int(rng.integers(1, 301)), k, c or int(k == 0)
+
+    @staticmethod
+    def _scenario(rng, n_loc, k, c):
+        def named(prefix, values):
+            return tuple((f"{prefix}{i}", float(v)) for i, v in enumerate(values))
+
+        return Scenario(
+            locations=named("l", rng.uniform(0.1, 60.0, n_loc)),
+            local_resources=named("r", rng.uniform(0.05, 10.0, k)),
+            central_resources=named("c", rng.uniform(0.05, 10.0, c)),
+            budget=float(10.0 ** rng.uniform(-3.0, 4.0)),
+        )
+
+    def test_kernels_match_the_row_wise_forms(self):
+        rng = np.random.default_rng(29)
+        for n_loc, k, c in self._shapes():
+            scenario = self._scenario(rng, n_loc, k, c)
+            n_local, beta = n_loc * k, scenario._beta
+            per_entry = rng.uniform(-5.0, 5.0, scenario.n_entries)  # mixed signs, as beta * ln x
+            rows = per_entry[:n_local].reshape(n_loc, k)
+            expected = rows.sum(axis=1) + per_entry[n_local:].sum()
+            sums = _location_sums(scenario, per_entry)
+            if k < 8:
+                assert sums.tobytes() == expected.tobytes(), (n_loc, k, c)
+            else:
+                scale = np.abs(rows).sum(axis=1) + np.abs(per_entry[n_local:]).sum()
+                assert (np.abs(sums - expected) <= 1e-15 * scale).all(), (n_loc, k, c)
+
+            p = rng.uniform(0.0, 1.0, n_loc)
+            expected = beta * np.concatenate([np.repeat(p, k), np.full(c, p.sum())])
+            assert _transposed(scenario, p).tobytes() == expected.tobytes(), (n_loc, k, c)
+
+            scaled = scenario._alpha / (1.0 + scenario._local_beta_total)
+            shares = np.exp(scaled - scaled.max())
+            shares /= shares.sum()
+            expected = beta * scenario.budget / scenario._beta_total
+            expected[:n_local] *= np.repeat(shares, k)
+            x = flatten(scenario, solve_closed_form(scenario).allocation)
+            assert x.tobytes() == expected.tobytes(), (n_loc, k, c)
+
+            if k and c:
+                gamma = 0.3
+                local = (1.0 - gamma) * scenario.budget / k
+                local = local * (scenario._alpha / scenario._alpha_total)
+                expected = np.full(scenario.n_entries, gamma * scenario.budget / c)
+                expected[:n_local].reshape(n_loc, k)[:] = np.reshape(local, (-1, 1))
+                x = flatten(scenario, celp_rule(scenario, gamma))
+                assert x.tobytes() == expected.tobytes(), (n_loc, k, c)
+                expected[:n_local] = (1.0 - gamma) * scenario.budget / n_local
+                assert flatten(scenario, cle_rule(scenario, gamma)).tobytes() == expected.tobytes()
+
+    def test_total_is_lazy_and_keeps_its_eager_value(self):
+        rng = np.random.default_rng(37)
+        for n_loc, k, c in self._shapes():
+            scenario = self._scenario(rng, n_loc, k, c)
+            x = rng.uniform(1e-3, 1e3, scenario.n_entries)
+            allocation = Allocation._from_vector(scenario, x)
+            assert "total" not in allocation.__dict__
+            n_local = scenario._n_local
+            eager = float(np.cumsum(x[:n_local])[-1:].sum() + np.cumsum(x[n_local:])[-1:].sum())
+            assert allocation.total == eager
+            x[-1] = math.nan
+            with pytest.raises(AllocationError, match="must be positive, got nan"):
+                Allocation._from_vector(scenario, x)
+
+    def test_total_keeps_the_order_the_allocation_was_built_in(self):
+        # 1e16 + 1 + 1 rounds to 1e16; 1 + 1 + 1e16 does not.
+        built = Scenario(locations=(("a", 1.0), ("b", 1.0), ("c", 1.0)),
+                         local_resources=(("r", 1.0),), central_resources=(), budget=2e16)
+        reversed_ = dataclasses.replace(built, locations=built.locations[::-1])
+        allocation = Allocation._from_vector(built, np.array([1e16, 1.0, 1.0]))
+        evaluate(reversed_, allocation)
+        assert flatten(reversed_, allocation).tolist() == [1.0, 1.0, 1e16]
+        assert allocation.total == 1e16
 
 
 class TestCertificateState:
