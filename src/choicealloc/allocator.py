@@ -10,6 +10,7 @@ equally), the rest to local resources, split either equally over locations
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,10 +203,22 @@ def best_gamma(
     rule = rule.lower()
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}, expected one of {tuple(RULES)}")
-    gammas = np.sort([_check_gamma(g) for g in grid])  # argmin keeps the first minimum
-    if not gammas.size:
-        raise ValueError("gamma grid must be nonempty")
+    gammas = _sorted_grid(tuple(map(float, grid)))
     central = math.fsum(b for _, b in scenario.central_resources)
     score = -central * np.log(gammas) - scenario._local_beta_total * np.log(1.0 - gammas)
     gamma = float(gammas[np.argmin(score)])
     return gamma, evaluate(scenario, RULES[rule](scenario, gamma))
+
+
+@functools.lru_cache(maxsize=16)
+def _sorted_grid(grid: tuple[float, ...]) -> np.ndarray:
+    """The checked grid in increasing order, read-only; argmin keeps the first minimum.
+
+    Checked and sorted once per distinct grid, since ``best_gamma`` runs on
+    the same grid for every row of a sweep.
+    """
+    gammas = np.sort([_check_gamma(g) for g in grid])
+    if not gammas.size:
+        raise ValueError("gamma grid must be nonempty")
+    gammas.flags.writeable = False
+    return gammas

@@ -343,12 +343,13 @@ def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
 
 
 def _cmd_sweep(scenario_file: ScenarioFile, args) -> _Result:
-    pairs = tuple((a1, 10.0 - a1) for a1 in _comma_floats(args.alpha1, "--alpha1"))
+    alpha1 = _distinct(_comma_floats(args.alpha1, "--alpha1"), "--alpha1")
+    pairs = tuple((a1, 10.0 - a1) for a1 in alpha1)
     return attractiveness_sweep(pairs, base=scenario_file.scenario), EXIT_OK
 
 
 def _cmd_scale(scenario_file: ScenarioFile, args) -> _Result:
-    factors = tuple(_comma_floats(args.k, "--k"))
+    factors = tuple(_distinct(_comma_floats(args.k, "--k"), "--k"))
     return attractiveness_scaling_table(factors, base=scenario_file.scenario), EXIT_OK
 
 

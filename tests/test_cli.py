@@ -313,6 +313,23 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert out == "" and err == f"usage error: {repeated}\n"
 
+    @pytest.mark.parametrize("command, flag, values, repeated", [
+        ("sweep", "--alpha1", "1,1", "1.0"),
+        ("sweep", "--alpha1", "0,5,-0", "-0.0"),
+        ("scale", "--k", "1,1.0", "1.0"),
+        ("scale", "--k", "1,1.1,1.2,1.1", "1.1"),
+    ])
+    def test_repeated_axis_value_is_usage_error(self, capsys, paris_path, command, flag, values, repeated):
+        code, out, err = run_cli(capsys, [command, paris_path, flag, values])
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"usage error: {flag} repeats {repeated}\n"
+
+    def test_negative_seed_is_named(self, capsys, paris_path):
+        code, out, err = run_cli(capsys, ["simulate", paris_path, "--allocation", "optimal",
+                                          "--seed", "-1"])
+        assert code == EXIT_INVALID_INPUT
+        assert out == "" and err == "invalid input: seed must be >= 0, got -1\n"
+
     def test_closed_stdout_is_not_invalid_input(self, capsys, monkeypatch, paris_path):
         class ClosedPipe(io.StringIO):
             def write(self, text):

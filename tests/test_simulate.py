@@ -127,18 +127,19 @@ def test_tally_gives_a_tie_to_the_first_alternative():
         [-3.0, -2.0, -0.1, -0.25],  # 3 alone
         [-1.0, -1.0, -1.0, -0.5],  # tie of 0, 1 and 3
     ])
-    race = np.empty(keys.size)
+    race = (keys * weights).T
+    scratch = np.empty(keys.size, dtype=bool)
     first_argmax = np.bincount(np.argmax(keys * weights, axis=1), minlength=4)
-    assert simulate._tally(keys.copy(), weights, race).tolist() == first_argmax.tolist() == [2, 1, 0, 1]
-    assert simulate._tally(keys[2:3].copy(), weights, race).tolist() == [0, 0, 0, 1]
-    assert simulate._tally(keys[:1].copy(), weights, race).tolist() == [1, 0, 0, 0]
+    assert simulate._tally(race, scratch).tolist() == first_argmax.tolist() == [2, 1, 0, 1]
+    assert simulate._tally(race[:, 2:3], scratch).tolist() == [0, 0, 0, 1]
+    assert simulate._tally(race[:, :1], scratch).tolist() == [1, 0, 0, 0]
 
 
 def test_counts_match_a_row_argmax_of_the_same_stream():
     # The reference draws every uniform at once and takes argmax along each
     # draw's row. 2 to 12 alternatives; alpha up to 1500 puts utility gaps
     # past 709, where exp(max V - V_k) overflows; up to 3.6e5 keys spans
-    # two chunks.
+    # up to six chunks of 2**16 variates.
     rng = np.random.default_rng(13)
     for case in range(40):
         top = (8.0, 60.0, 1500.0)[case % 3]
@@ -154,6 +155,26 @@ def test_counts_match_a_row_argmax_of_the_same_stream():
         expected = np.bincount(np.argmax(keys, axis=1), minlength=utilities.size)
         counts = sample_choices(scenario, allocation, draws, seed).counts
         assert list(counts.values()) == expected.tolist(), (case, len(scenario.locations))
+
+
+def test_chunking_does_not_change_the_counts(monkeypatch):
+    # Chunks of 2 variates hold one draw each; chunks of 1000 leave a ragged
+    # third chunk; the module's own size and 2**18 hold every draw in one.
+    # Alpha up to 1500 puts utility gaps past 709, where the weights overflow.
+    rng = np.random.default_rng(20)
+    chunks = (2, 1000, simulate._CHUNK, 1 << 18)
+    for case in range(15):
+        top = (8.0, 60.0, 1500.0)[case % 3]
+        scenario = random_scenario(rng, max_locations=11, alpha_range=(0.0, top))
+        allocation = random_allocation(rng, scenario)
+        rows = 1000 // (len(scenario.locations) + 1)
+        draws = 2 * rows + int(rng.integers(1, rows))
+        seed = int(rng.integers(0, 2**31))
+        counts = []
+        for chunk in chunks:
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            counts.append(sample_choices(scenario, allocation, draws, seed).counts)
+        assert all(c == counts[0] for c in counts), (case, len(scenario.locations))
 
 
 def test_city_optimum_frequencies():
@@ -174,6 +195,13 @@ def test_rejects_bad_draws():
     allocation = Allocation(local={("1", "3"): 1.0, ("2", "3"): 1.0}, central={})
     with pytest.raises(ValueError, match="draws"):
         sample_choices(scenario, allocation, draws=0, seed=1)
+
+
+def test_rejects_negative_seed():
+    scenario = example_two()
+    allocation = Allocation(local={("1", "3"): 1.0, ("2", "3"): 1.0}, central={})
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        sample_choices(scenario, allocation, draws=10, seed=-1)
 
 
 def test_rejects_opt_out_id_collision():
