@@ -10,7 +10,13 @@ prints both against the closed-form optimum, then tunes gamma for each rule.
 
 import sys
 
-from choicealloc import best_gamma, paris_scenario, rule_comparison_table, solve_closed_form
+from choicealloc import (
+    best_gamma,
+    kkt_residual,
+    paris_scenario,
+    rule_comparison_table,
+    solve_closed_form,
+)
 
 scenario = paris_scenario()
 
@@ -21,7 +27,8 @@ table.to_csv(sys.stdout)
 report = solve_closed_form(scenario)
 print(f"\nOptimal overall hit probability: {100 * report.evaluation.overall:.2f}%")
 print(f"Stationarity certificate: every dB/dx equals {report.multiplier:.6e} "
-      f"(largest deviation {report.stationarity_residual:.1e})")
+      f"(kkt residual, the largest relative deviation: "
+      f"{kkt_residual(scenario, report.allocation):.1e})")
 
 # A poorly chosen gamma is what ruins the simple rules; tuned over the grid
 # {0.01, ..., 0.99} both land on the point nearest beta_central / beta_sum.

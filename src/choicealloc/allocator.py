@@ -33,16 +33,14 @@ DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(g / 100 for g in range(1, 100))
 
 @dataclass(frozen=True)
 class SolveReport:
-    """An allocation together with its optimality certificate.
+    """An allocation together with its multiplier.
 
     Attributes:
-        allocation: the solution, summing to the full budget.
+        allocation: the solution, summing to the full budget; it keeps its
+            certificate, which ``kkt_residual`` of it reads.
         evaluation: probabilities and surrogate at the solution.
-        multiplier: the (negative) Lagrange multiplier on the budget plane.
-        stationarity_residual: max |dB/dx_k - multiplier| over entries; at a
-            true optimum every partial derivative equals the multiplier. It
-            is absolute, so it scales with |multiplier|, and it is inf (or 0)
-            where B overflows; ``kkt_residual`` is the scale-free check.
+        multiplier: the (negative) Lagrange multiplier on the budget plane,
+            which every dB/dx_k equals at the optimum; -inf where B overflows.
         diagnostics: how an iterative solve went (see ``solve_numerical``);
             None for the closed form.
     """
@@ -50,7 +48,6 @@ class SolveReport:
     allocation: Allocation
     evaluation: Evaluation
     multiplier: float
-    stationarity_residual: float
     diagnostics: dict | None = None
 
 
@@ -66,15 +63,12 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
 
     Central resource j receives beta_j / (sum of all betas) * budget. Local
     resource j's identical share is further split over locations i with
-    weights softmax(alpha_i / (1 + sum of local betas)). The multiplier and
-    the stationarity residual certify optimality of the result; the residual
-    is pure floating-point noise (at most ~1e-8 relative to the multiplier).
-    The multiplier's ln sum_i exp(scaled alpha_i) is read off the shares'
-    normaliser as max + ln(sum), which is both cheaper and closer to the
-    exact value than a pairwise log-add-exp. Past the double range the
-    multiplier saturates to -inf, as the surrogate saturates to inf, and the
-    residual is then inf unless it is exactly 0. The allocation keeps the
-    certificate, so ``kkt_residual`` of it reuses it.
+    weights softmax(alpha_i / (1 + sum of local betas)). The multiplier's
+    ln sum_i exp(scaled alpha_i) is read off the shares' normaliser as
+    max + ln(sum), which is both cheaper and closer to the exact value than a
+    pairwise log-add-exp. Past the double range the multiplier saturates to
+    -inf, as the surrogate saturates to inf. ``kkt_residual`` of the
+    allocation is round-off (at most ~1e-8), also where B overflows.
     """
     beta_sum = scenario._beta_total
     local_beta_sum = scenario._local_beta_total
@@ -86,16 +80,16 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     weight_sum = shares.sum()
     shares /= weight_sum
     log_weight_sum = top + math.log(weight_sum)
-    if not shares.all():
-        i = int(np.argmin(shares))
-        raise FloatingPointError(
-            f"optimal share of location {scenario.location_ids[i]!r} underflows to 0.0 "
-            f"(ln share {float(scaled[i]) - log_weight_sum:.6g})"
-        )
 
     x = scenario._beta * r / beta_sum
     for column in _local_columns(scenario, x):
         column *= shares
+    if not x.all():  # a share, or a local entry it scales, underflows
+        i = int(np.argmin(shares))
+        raise FloatingPointError(
+            f"optimal entries of location {scenario.location_ids[i]!r} underflow to 0.0 "
+            f"(ln share {float(scaled[i]) - log_weight_sum:.6g})"
+        )
     allocation = Allocation._from_vector(scenario, x)
 
     # Multiplier from the stationarity condition, assembled in the log domain
@@ -105,22 +99,12 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
         + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))
         - scenario._beta_log_beta_total
     )
-    v, ln_b, gradient = _log_state(scenario, allocation)
+    v, ln_b, _ = _log_state(scenario, allocation)
     return SolveReport(
         allocation=allocation,
         evaluation=_evaluation(scenario, v, ln_b),
         multiplier=-_exp_or_inf(ln_lam),
-        stationarity_residual=_stationarity_residual(ln_b, gradient, _exp_or_inf(ln_lam - ln_b)),
     )
-
-
-def _stationarity_residual(ln_b: float, gradient: np.ndarray, level: float) -> float:
-    """max_k |dB/dx_k - multiplier| for the multiplier -B * level, where B's
-    gradient is -B * gradient: B * max_k |gradient_k - level|. It is 0 when
-    that maximum is, so a saturated B gives inf or 0, never nan."""
-    # From the gradient's extremes: rounding keeps their order, so this is exact.
-    deviation = max(float(gradient.max()) - level, level - float(gradient.min()))
-    return _exp_or_inf(ln_b) * deviation if deviation else 0.0
 
 
 def cle_rule(scenario: Scenario, gamma: float) -> Allocation:

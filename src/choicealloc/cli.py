@@ -305,14 +305,11 @@ _Result = tuple[ExperimentTable, int]
 
 
 def _cmd_solve(scenario_file: ScenarioFile, args) -> _Result:
-    report = solve_closed_form(scenario_file.scenario)
-    print(
-        f"multiplier {report.multiplier!r}, stationarity residual "
-        f"{report.stationarity_residual!r}",
-        file=sys.stderr,
-    )
-    rows = [("OPTIMAL", report.allocation)]
-    return solution_table("solve", scenario_file.scenario, rows), EXIT_OK
+    scenario = scenario_file.scenario
+    report = solve_closed_form(scenario)
+    residual = kkt_residual(scenario, report.allocation)
+    print(f"multiplier {report.multiplier!r}, kkt residual {residual!r}", file=sys.stderr)
+    return solution_table("solve", scenario, [("OPTIMAL", report.allocation)]), EXIT_OK
 
 
 def _cmd_evaluate(scenario_file: ScenarioFile, args) -> _Result:

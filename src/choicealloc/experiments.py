@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
 from .allocator import (
     DEFAULT_GAMMA_GRID,
+    _sorted_grid,
     best_gamma,
     celp_rule,
     cle_rule,
@@ -26,6 +28,9 @@ from .allocator import (
 from .model import Allocation, Evaluation, Scenario, evaluate
 
 DEFAULT_RULE_GAMMAS: tuple[float, ...] = (0.25, 0.5, 0.75)
+
+#: ln of the smallest normal and of the largest finite double.
+_LN_DOUBLE_MIN, _LN_DOUBLE_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 #: Attractiveness pairs (a1, a2) with a1 + a2 = 10, from strongly asymmetric
 #: to symmetric and back.
@@ -168,8 +173,9 @@ def attractiveness_sweep(
     nonempty; each (a1, a2) pair, taken as floats, replaces their
     attractiveness and must sum to the sweep's fixed total of 10 so only the
     asymmetry varies. Rows are labelled repr(a1). For every pair the
-    heuristics are tuned over the gamma grid. Where CELP is undefined
-    (celp_rule refuses an alpha of 0), that pair's CELP cells are nan.
+    heuristics are tuned over the gamma grid, which must be valid in any case.
+    A rule's two cells are nan where it is undefined: both rules' without a
+    central or a local resource, CELP's where an alpha is 0.
     """
     base = base or paris_scenario()
     if len(base.locations) != 2:
@@ -183,20 +189,21 @@ def attractiveness_sweep(
         if not abs(a1 + a2 - 10.0) <= 1e-9:  # also rejects nan and inf
             raise ValueError(f"alpha pair ({a1}, {a2}) must sum to 10")
 
+    _sorted_grid(tuple(map(float, grid)))  # a bad grid raises here, even where no rule applies
     id1, id2 = base.location_ids
+
+    def tuned(scenario: Scenario, rule: str) -> tuple[float, float]:
+        try:  # the grid passed above, so only the rule's own domain can fail
+            gamma, evaluation = best_gamma(scenario, rule, grid)
+        except ValueError:
+            return math.nan, math.nan
+        return gamma, 100.0 * evaluation.overall
 
     def run(pair: tuple[float, float]) -> tuple[str, tuple[float, ...]]:
         a1, a2 = pair
         scenario = dataclasses.replace(base, locations=((id1, a1), (id2, a2)))
         optimal = solve_closed_form(scenario).evaluation.overall
-        cle_g, cle_eval = best_gamma(scenario, "cle", grid)
-        try:  # the grid and resources passed for CLE, so only CELP's own domain fails
-            celp_g, celp_eval = best_gamma(scenario, "celp", grid)
-        except ValueError:
-            celp = (math.nan, math.nan)
-        else:
-            celp = (celp_g, 100.0 * celp_eval.overall)
-        values = (a1, a2, 100.0 * optimal, cle_g, 100.0 * cle_eval.overall, *celp)
+        values = (a1, a2, 100.0 * optimal, *tuned(scenario, "cle"), *tuned(scenario, "celp"))
         return repr(a1), values
 
     rows = [run(pair) for pair in alpha_pairs]
@@ -275,9 +282,11 @@ def budget_for_target(scenario: Scenario, target: float) -> float:
 
         R' = R * exp((ln B_now - ln B_target) / sum_betas),  B_target = t / (1 - t).
 
-    Working with ln B keeps this finite where B_now overflows. The result is
-    verified by re-solving at R'; a mismatch beyond 1e-9 in the achieved
-    probability raises, rather than returning a bad budget.
+    Working with ln B keeps this finite where B_now overflows. An R' outside
+    the normal range of a double raises ArithmeticError naming ln R'; where
+    only the factor exp(...) is, R' is exp(ln R'). The result is verified by
+    re-solving at R'; a mismatch beyond 1e-9 in the achieved probability
+    raises, rather than returning a bad budget.
     """
     target = float(target)
     if not 0.0 < target < 1.0:
@@ -285,7 +294,15 @@ def budget_for_target(scenario: Scenario, target: float) -> float:
     beta_sum = scenario._beta_total
     ln_b_now = solve_closed_form(scenario).evaluation.ln_surrogate
     ln_b_target = math.log(target / (1.0 - target))
-    budget = scenario.budget * math.exp((ln_b_now - ln_b_target) / beta_sum)
+    ln_factor = (ln_b_now - ln_b_target) / beta_sum
+    ln_budget = math.log(scenario.budget) + ln_factor
+    if not _LN_DOUBLE_MIN < ln_budget < _LN_DOUBLE_MAX:
+        raise ArithmeticError(
+            f"the budget for target {target} is outside the range of a double "
+            f"(ln budget {ln_budget:.6g})"
+        )
+    in_range = _LN_DOUBLE_MIN < ln_factor < _LN_DOUBLE_MAX
+    budget = scenario.budget * math.exp(ln_factor) if in_range else math.exp(ln_budget)
 
     rescaled = dataclasses.replace(scenario, budget=budget)
     achieved = solve_closed_form(rescaled).evaluation.overall

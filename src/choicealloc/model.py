@@ -30,10 +30,10 @@ evaluation is stored as arrays too, its utilities and per-location
 probabilities, with its dicts built on read; a solver builds its evaluation
 from the utilities and ln B it computes for its certificate. B's
 gradient is -B * r with r = A^T softmax(V) / x, where A holds each location's
-betas; r is scale-free, so certificates built on it survive B overflowing.
-An allocation carries one certificate: the (V, ln B, r) first computed for
-it on its scenario are kept with it, so a solve and the ``kkt_residual`` of
-its output share one pass over the entries.
+betas; r is scale-free, so the one optimality certificate built on it, the
+KKT residual, survives B overflowing. An allocation carries the (V, ln B, r)
+first computed for it on its scenario, so a solve and the ``kkt_residual``
+of its output share one pass over the entries.
 
 The per-entry kernels read and write the (L, K) local block one column at a
 time, never along a row: K, the number of local resources, is small, and a
@@ -441,6 +441,13 @@ def _log_gradient(scenario: Scenario, x: np.ndarray) -> tuple[np.ndarray, float,
     r = _transposed(scenario, np.exp(v - ln_b))
     r /= x
     return v, ln_b, r
+
+
+def _kkt_residual(r: np.ndarray) -> float:
+    """max_k |r_k - mean r| / mean r, 0 where every dB/dx_k is one multiplier;
+    exact from r's extremes, since rounding keeps their order."""
+    mean = float(r.mean())
+    return max(float(r.max()) - mean, mean - float(r.min())) / mean
 
 
 def _log_state(scenario: Scenario, allocation: Allocation) -> tuple[np.ndarray, float, np.ndarray]:

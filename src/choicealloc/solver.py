@@ -13,12 +13,12 @@ a damped Newton step (Boyd & Vandenberghe, *Convex Optimization*, sec. 10.2)
 costs O(n) and builds no n x n array. Mirror-descent steps u <- u - grad phi
 come first while each lowers B by a factor e or more. Both phases backtrack
 on ln B with an Armijo test and, at its round-off floor, accept a step that
-shrinks the gradient spread instead.
+lowers the KKT residual instead.
 
 Only softmax weights enter, so the steps do not depend on shifting alpha or
 scaling the budget, and nothing comes from the closed form. At the optimum
-every partial derivative of B equals the multiplier; their relative spread is
-the stopping rule and the reported certificate.
+every partial derivative of B equals the multiplier; the KKT residual (see
+``kkt_residual``) is the stopping rule and the reported certificate.
 
 The oracle has no settings: every solve starts from the uniform split and
 stops on the constants below.
@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import SolveReport, _stationarity_residual
+from .allocator import SolveReport
 from .model import (
     Allocation,
     AllocationError,
@@ -41,6 +41,7 @@ from .model import (
     Scenario,
     _evaluation,
     _exp_or_inf,
+    _kkt_residual,
     _location_sums,
     _log_state,
     _log_sum_exp,
@@ -56,10 +57,9 @@ _ARMIJO = 1e-4  # fraction of the predicted decrease of ln B a step must achieve
 #: at least this much, i.e. B by a factor e; nearer the optimum Newton is cheaper.
 _FIRST_ORDER_GAIN = 1.0
 #: Round-off floor of ln B relative to the size of the utilities' terms; a
-#: step within it is judged by the gradient spread instead.
+#: step within it is judged by the KKT residual instead.
 _OBJECTIVE_TOLERANCE = 1e-14
-#: The solve stops once the gradient spread (max - min) relative to |mean
-#: gradient| is at most this.
+#: The solve stops once the KKT residual is at most this.
 _STATIONARITY_TOLERANCE = 1e-9
 
 
@@ -68,7 +68,7 @@ class ConvergenceError(RuntimeError):
 
     Carries the last iterate so callers can inspect how far the solve got, and
     the same ``diagnostics`` dict a successful solve puts in its report: the
-    steps of each phase, the line-search trials and the final relative spread.
+    steps of each phase, the line-search trials and the final KKT residual.
     """
 
     def __init__(self, message: str, allocation: Allocation, diagnostics: dict):
@@ -86,7 +86,7 @@ class _Point:
     p: np.ndarray  # location choice weights softmax(V)
     ln_b: float
     gradient: np.ndarray  # of ln B in u
-    spread: float  # relative spread of B's gradient in x
+    residual: float  # the KKT residual of B's gradient in x
     floor: float  # round-off floor of ln B
 
 
@@ -102,15 +102,14 @@ def _point(scenario, s: float, log_r: float, z: np.ndarray) -> _Point | None:
     p = np.exp(v - ln_b)
     a = _transposed(scenario, p)
     magnitude = float((scenario._alpha + _location_sums(scenario, np.abs(log_terms))).max())
-    # B's gradient in x is -B * a / x, so its relative spread is that of a / q.
-    ratio = a / q
     return _Point(
         log_q=log_q,
         q=q,
         p=p,
         ln_b=ln_b,
         gradient=s * q - a,
-        spread=float((ratio.max() - ratio.min()) / abs(float(ratio.mean()))),
+        # B's gradient in x is -B * a / x = -(B / R) * a / q, and the residual is scale-free.
+        residual=_kkt_residual(a / q),
         floor=_OBJECTIVE_TOLERANCE * (1.0 + magnitude),
     )
 
@@ -151,7 +150,7 @@ def _line_search(
         new = at(point.log_q + step * direction)
         if new is not None and (
             new.ln_b <= point.ln_b + _ARMIJO * step * slope
-            or (new.ln_b <= point.ln_b + point.floor and new.spread < point.spread)
+            or (new.ln_b <= point.ln_b + point.floor and new.residual < point.residual)
         ):
             return new, trial
         step *= 0.5
@@ -162,10 +161,9 @@ def solve_numerical(scenario: Scenario) -> SolveReport:
     """Minimise the surrogate numerically; raises ConvergenceError on failure.
 
     Starts from the uniform split of the budget. The reported multiplier is
-    the mean gradient component at the final iterate and the stationarity
-    residual is the largest absolute deviation from it. The report's
+    the mean gradient component at the final iterate. The report's
     ``diagnostics`` hold the steps of each phase, the line-search trials, the
-    final relative spread and the seconds per phase.
+    final ``kkt_residual`` and the seconds per phase.
     """
     r = scenario.budget
     log_r = math.log(r)
@@ -178,7 +176,7 @@ def solve_numerical(scenario: Scenario) -> SolveReport:
     point = at(np.log(np.full(scenario.n_entries, r / scenario.n_entries)))
     first_order = newton = trials = 0
 
-    while first_order < _FIRST_ORDER_STEPS and point.spread > _STATIONARITY_TOLERANCE:
+    while first_order < _FIRST_ORDER_STEPS and point.residual > _STATIONARITY_TOLERANCE:
         new, used = _line_search(at, point, -point.gradient)
         trials += used
         if new is None:
@@ -190,7 +188,7 @@ def solve_numerical(scenario: Scenario) -> SolveReport:
             break
     handover = time.perf_counter()
 
-    while newton < _NEWTON_STEPS and point.spread > _STATIONARITY_TOLERANCE:
+    while newton < _NEWTON_STEPS and point.residual > _STATIONARITY_TOLERANCE:
         new, used = _line_search(at, point, _newton_direction(scenario, s, point))
         trials += used
         if new is None:
@@ -202,7 +200,7 @@ def solve_numerical(scenario: Scenario) -> SolveReport:
         "first_order_steps": first_order,
         "newton_steps": newton,
         "line_search_trials": trials,
-        "relative_spread": point.spread,
+        "kkt_residual": point.residual,
         "seconds": {
             "first_order": handover - start,
             "newton": time.perf_counter() - handover,
@@ -210,20 +208,18 @@ def solve_numerical(scenario: Scenario) -> SolveReport:
     }
     x = r * point.q
     allocation = Allocation._from_vector(scenario, x)
-    if point.spread > _STATIONARITY_TOLERANCE:
+    if point.residual > _STATIONARITY_TOLERANCE:
         raise ConvergenceError(
             f"no stationary point within {first_order + newton} iterations "
-            f"(gradient spread {point.spread:.3e} > {_STATIONARITY_TOLERANCE:.3e})",
+            f"(kkt_residual {point.residual:.3e} > {_STATIONARITY_TOLERANCE:.3e})",
             allocation=allocation,
             diagnostics=diagnostics,
         )
     v, ln_b, gradient = _log_state(scenario, allocation)
-    level = float(gradient.mean())
     return SolveReport(
         allocation=allocation,
         evaluation=_evaluation(scenario, v, ln_b),
-        multiplier=-_exp_or_inf(ln_b) * level,
-        stationarity_residual=_stationarity_residual(ln_b, gradient, level),
+        multiplier=-_exp_or_inf(ln_b) * float(gradient.mean()),
         diagnostics=diagnostics,
     )
 
@@ -243,8 +239,5 @@ def kkt_residual(scenario: Scenario, allocation: Allocation) -> float:
         raise AllocationError(
             f"kkt_residual needs a full-budget allocation; total {total} != {scenario.budget}"
         )
-    # g = -B * gradient with B > 0, so B cancels and nothing overflows.
-    gradient = _log_state(scenario, allocation)[2]
-    mean = float(gradient.mean())
-    # max_k |g_k - mean| from g's extremes: rounding keeps their order, so this is exact.
-    return max(float(gradient.max()) - mean, mean - float(gradient.min())) / mean
+    # g = -B * r with B > 0, so B cancels and nothing overflows.
+    return _kkt_residual(_log_state(scenario, allocation)[2])

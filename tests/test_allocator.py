@@ -12,6 +12,7 @@ from choicealloc import (
     cle_rule,
     evaluate,
     flatten,
+    kkt_residual,
     paris_scenario,
     solve_closed_form,
 )
@@ -60,7 +61,7 @@ class TestClosedForm:
     def test_city_certificate(self, paris):
         report = solve_closed_form(paris)
         assert report.multiplier == pytest.approx(float(Fraction(-1, 540)), rel=1e-12)
-        assert report.stationarity_residual <= 1e-8 * abs(report.multiplier)
+        assert kkt_residual(paris, report.allocation) <= 1e-8
         assert report.allocation.total == pytest.approx(paris.budget, rel=1e-12)
 
     def test_multiplier_matches_an_fsum_reference(self):
@@ -122,13 +123,26 @@ class TestClosedForm:
         assert report.allocation.local == {}
         assert report.allocation.central["c1"] == pytest.approx(6.0, rel=1e-12)
         assert report.allocation.central["c2"] == pytest.approx(2.0, rel=1e-12)
-        assert report.stationarity_residual <= 1e-8 * abs(report.multiplier)
+        assert kkt_residual(scenario, report.allocation) <= 1e-8
 
     def test_without_central_resources(self):
-        report = solve_closed_form(example_two())
+        scenario = example_two()
+        report = solve_closed_form(scenario)
         assert report.allocation.central == {}
         assert report.allocation.total == pytest.approx(3.0, rel=1e-12)
-        assert report.stationarity_residual <= 1e-8 * abs(report.multiplier)
+        assert kkt_residual(scenario, report.allocation) <= 1e-8
+
+    def test_an_entry_below_the_double_range_is_a_numerical_failure(self):
+        # Location a's share, about e^-740, is a double; a's entry, that share
+        # times 5e-4, is not, and must not reach the allocation's positivity check.
+        scenario = Scenario(
+            locations=(("a", 0.0), ("b", 1480.0)),
+            local_resources=(("r", 1.0),),
+            central_resources=(("c", 1.0),),
+            budget=1e-3,
+        )
+        with pytest.raises(FloatingPointError, match=r"location 'a' underflow .*ln share -740\)"):
+            solve_closed_form(scenario)
 
     def test_shift_invariance(self, paris):
         base = flatten(paris, solve_closed_form(paris).allocation)

@@ -3,10 +3,12 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import choicealloc
@@ -38,6 +40,19 @@ def run_cli(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_file(path, budget, alphas, local_betas, central_betas, allocations=None):
+    payload = {
+        "schema_version": 1,
+        "budget": budget,
+        "locations": [{"id": f"l{i}", "alpha": a} for i, a in enumerate(alphas)],
+        "local_resources": [{"id": f"r{j}", "beta": b} for j, b in enumerate(local_betas)],
+        "central_resources": [{"id": f"c{j}", "beta": b} for j, b in enumerate(central_betas)],
+        "allocations": allocations or {},
+    }
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 def parse_csv(text):
@@ -379,6 +394,54 @@ class TestExitCodes:
         assert parse_csv(out)[0]["label"] == "OPTIMAL"
 
     @pytest.mark.filterwarnings("error")
+    def test_saturated_surrogate_prints_a_finite_kkt_residual(self, capsys, tmp_path):
+        # B = e^800-ish overflows, so the multiplier is -inf; the certificate is relative.
+        path = write_file(tmp_path / "saturated.json", 4.0, [800.0, 790.0], [2.0], [1.0])
+        code, _, err = run_cli(capsys, ["solve", path])
+        assert code == EXIT_OK
+        match = re.fullmatch(r"multiplier -inf, kkt residual (\S+)\n", err)
+        assert match, err
+        assert 0.0 <= float(match.group(1)) <= 1e-8
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "alphas, local_betas, central_betas, target, ln_budget",
+        [
+            ([0.0], [], [0.01], "0.9999", "-921.024"),  # the budget underflows
+            ([700.0, 3.0], [0.05], [0.05], "0.5", "7000.69"),  # the budget overflows
+        ],
+        ids=["underflow", "overflow"],
+    )
+    def test_budget_outside_the_double_range_is_named(
+        self, capsys, tmp_path, alphas, local_betas, central_betas, target, ln_budget
+    ):
+        path = write_file(tmp_path / "f.json", 1.0, alphas, local_betas, central_betas)
+        code, out, err = run_cli(capsys, ["budget-for", path, "--target", target])
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert err == (
+            f"numerical failure: the budget for target {target} is outside the range "
+            f"of a double (ln budget {ln_budget})\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("local_betas, central_betas", [([1.0], []), ([], [1.0])],
+                             ids=["no-central", "no-local"])
+    def test_sweep_without_a_resource_group_has_nan_rule_cells(
+        self, capsys, tmp_path, local_betas, central_betas
+    ):
+        path = write_file(tmp_path / "f.json", 10.0, [1.0, 9.0], local_betas, central_betas)
+        code, out, _ = run_cli(capsys, ["sweep", path, "--alpha1", "0,5"])
+        assert code == EXIT_OK
+        for row in parse_csv(out):
+            assert 0.0 < float(row["optimal%"]) < 100.0
+            cells = [row[c] for c in ("cle_gamma", "cle%", "celp_gamma", "celp%")]
+            assert cells == ["nan"] * 4
+        code, _, err = run_cli(capsys, ["compare", path])
+        assert code == EXIT_INVALID_INPUT
+        assert "needs at least one central and one local resource" in err
+
+    @pytest.mark.filterwarnings("error")
     def test_saturated_surrogate_budget_for(self, capsys, tmp_path):
         path = tmp_path / "saturated.json"
         save_scenario(ScenarioFile(saturated_scenario(), {}), str(path))
@@ -424,3 +487,89 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(capsys, ["--help"])
         assert code == 0
+
+
+# Why a valid file can exit 3 today, by the message that names the cause.
+_NUMERICAL_CAUSES = {
+    # The oracle's tail: at alpha gaps from about 100 its line search on ln B stalls.
+    "oracle tail": r"no stationary point within \d+ iterations \(kkt_residual \S+ > 1\.000e-09\)",
+    # An optimal entry below the double range, though its ln share is finite.
+    "entry underflow": r"optimal entries of location '\w+' underflow to 0\.0 \(ln share \S+\)",
+    # budget-for: the needed budget is not a normal double.
+    "budget range": r"the budget for target \S+ is outside the range of a double "
+                    r"\(ln budget \S+\)",
+}
+# The (command, cause) pairs the contract run below meets. A change that mends
+# a regime removes its pairs here.
+_PINNED_EXIT_3 = {
+    ("solve", "entry underflow"),
+    ("scale", "entry underflow"),
+    ("budget-for", "entry underflow"),
+    ("budget-for", "budget range"),
+    ("simulate", "entry underflow"),
+    ("verify", "entry underflow"),
+    ("verify", "oracle tail"),
+}
+# A heuristic rule is undefined on the file: compare alone calls that invalid input.
+_UNDEFINED_RULE = (r"CLE needs at least one central and one local resource; .*"
+                   r"|CELP would allocate nothing to location '\w+' \(alpha = 0\.0\)"
+                   r"|CELP is undefined when every location has zero attractiveness")
+
+
+def _contract_file(rng, k, path):
+    """A valid file over the library's ranges, with a named plan: 1-39 locations
+    (every third file two, for sweep), alpha up to 8, 60, 700 or 5 000 (every
+    fifth file with an alpha of 0), 0-3 local and 0-2 central resources with
+    beta 0.05-10, and a budget 1e-3-1e4, log-uniform."""
+    n = 2 if k % 3 == 0 else int(rng.integers(1, 40))
+    n_local, n_central = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    if n_local == n_central == 0:
+        n_local = 1
+    alphas = rng.uniform(0.0, (8.0, 60.0, 700.0, 5000.0)[k % 4], n)
+    if k % 5 == 0:
+        alphas[0] = 0.0
+    budget = float(10.0 ** rng.uniform(-3.0, 4.0))
+    weights = rng.uniform(0.2, 1.0, n * n_local + n_central)
+    x = (0.9 * budget * weights / weights.sum()).tolist()
+    plan = {
+        "local": {f"l{i}/r{j}": x[i * n_local + j] for i in range(n) for j in range(n_local)},
+        "central": {f"c{j}": x[n * n_local + j] for j in range(n_central)},
+    }
+    betas = rng.uniform(0.05, 10.0, n_local + n_central).tolist()
+    return n, write_file(path, budget, alphas.tolist(), betas[:n_local], betas[n_local:],
+                         {"plan": plan})
+
+
+@pytest.mark.filterwarnings("error")
+def test_valid_files_never_exit_2_and_every_exit_3_names_its_cause(capsys, tmp_path):
+    rng = np.random.default_rng(2026)
+    seen = set()
+    for k in range(200):
+        n, path = _contract_file(rng, k, tmp_path / f"valid{k}.json")
+        commands = [
+            ["solve"],
+            ["evaluate", "--allocation", "plan"],
+            ["compare"],
+            ["compare", "--gamma", "grid"],
+            ["scale", "--k", "0.5,1,2"],
+            ["budget-for", "--target", "0.5"],
+            ["budget-for", "--target", "0.0092"],
+            ["simulate", "--allocation", "optimal", "--draws", "1000", "--seed", str(k)],
+            ["simulate", "--allocation", "plan", "--draws", "1000"],
+            ["verify"],
+        ]
+        if n == 2:
+            commands.append(["sweep", "--alpha1", "0,2.5,5,10"])
+        for command, *flags in commands:
+            code, _, err = run_cli(capsys, [command, path, *flags])
+            where = f"{command} {' '.join(flags)} on file {k}: exit {code}, {err!r}"
+            if code == EXIT_INVALID_INPUT and command == "compare":
+                assert re.fullmatch(f"invalid input: (?:{_UNDEFINED_RULE})\n", err), where
+                continue
+            assert code in (EXIT_OK, EXIT_NUMERICAL), where
+            if code == EXIT_NUMERICAL:
+                causes = [cause for cause, pattern in _NUMERICAL_CAUSES.items()
+                          if re.fullmatch(f"numerical failure: {pattern}\n", err)]
+                assert causes, where
+                seen.add((command, causes[0]))
+    assert seen == _PINNED_EXIT_3

@@ -9,6 +9,7 @@ import pytest
 
 from choicealloc import (
     ExperimentTable,
+    Scenario,
     attractiveness_scaling_table,
     attractiveness_sweep,
     budget_for_target,
@@ -127,6 +128,23 @@ class TestAttractivenessSweep:
         with pytest.raises(ValueError, match="two locations"):
             attractiveness_sweep(((5.0, 5.0),), base=three_locations)
 
+    @pytest.mark.parametrize("group", ["local_resources", "central_resources"])
+    def test_rules_are_nan_without_a_resource_group(self, group):
+        base = dataclasses.replace(paris_scenario(), **{group: ()})
+        table = attractiveness_sweep(((1.0, 9.0), (5.0, 5.0)), base=base)
+        for label, (a1, a2) in (("1.0", (1.0, 9.0)), ("5.0", (5.0, 5.0))):
+            row = table.row(label)
+            scenario = dataclasses.replace(base, locations=(("louvre", a1), ("eiffel", a2)))
+            assert row["optimal%"] == 100.0 * solve_closed_form(scenario).evaluation.overall
+            cells = [row[c] for c in ("cle_gamma", "cle%", "celp_gamma", "celp%")]
+            assert all(math.isnan(c) for c in cells)
+
+    @pytest.mark.parametrize("grid, message", [((), "nonempty"), ((0.5, 1.0), "strictly between")])
+    def test_bad_grid_raises_without_a_resource_group(self, grid, message):
+        base = dataclasses.replace(paris_scenario(), central_resources=())
+        with pytest.raises(ValueError, match=message):
+            attractiveness_sweep(((5.0, 5.0),), base=base, grid=grid)
+
 
 class TestScalingTable:
 
@@ -198,6 +216,16 @@ class TestBudgetForTarget:
             dataclasses.replace(scenario, budget=required)
         ).evaluation.overall
         assert achieved == pytest.approx(0.0092, abs=1e-9)
+
+    @pytest.mark.parametrize("budget, target, expected", [
+        (1e-300, 1e-10, 1e10 - 1.0),  # exp of the factor overflows
+        (1e300, 1.0 - 1e-10, 1.0 / (1e10 - 1.0)),  # and here it underflows
+    ], ids=["overflow", "underflow"])
+    def test_budget_where_only_the_factor_leaves_the_double_range(self, budget, target, expected):
+        # One central resource with beta 1 and alpha 0: B = 1 / R, so R' = (1 - t) / t.
+        scenario = Scenario(locations=(("a", 0.0),), local_resources=(),
+                            central_resources=(("c", 1.0),), budget=budget)
+        assert budget_for_target(scenario, target) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("target", [0.0, 1.0, -0.5, 1.5])
     def test_rejects_out_of_range_targets(self, target):
