@@ -72,31 +72,14 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
     """
     beta_sum = scenario._beta_total
     local_beta_sum = scenario._local_beta_total
-    r = scenario.budget
-
-    scaled = scenario._alpha / (1.0 + local_beta_sum)
-    top = float(scaled.max())
-    shares = np.exp(scaled - top)
-    weight_sum = shares.sum()
-    shares /= weight_sum
-    log_weight_sum = top + math.log(weight_sum)
-
-    x = scenario._beta * r / beta_sum
-    for column in _local_columns(scenario, x):
-        column *= shares
-    if not x.all():  # a share, or a local entry it scales, underflows
-        i = int(np.argmin(shares))
-        raise FloatingPointError(
-            f"optimal entries of location {scenario.location_ids[i]!r} underflow to 0.0 "
-            f"(ln share {float(scaled[i]) - log_weight_sum:.6g})"
-        )
+    x, top, weight_sum = _optimal_entries(scenario, scenario._alpha)
     allocation = Allocation._from_vector(scenario, x)
 
     # Multiplier from the stationarity condition, assembled in the log domain
     # because R ** (1 + sum beta) overflows quickly.
     ln_lam = (
-        (1.0 + local_beta_sum) * log_weight_sum
-        + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(r))
+        (1.0 + local_beta_sum) * (float(top) + math.log(weight_sum))
+        + (1.0 + beta_sum) * (math.log(beta_sum) - math.log(scenario.budget))
         - scenario._beta_log_beta_total
     )
     v, ln_b, _ = _log_state(scenario, allocation)
@@ -105,6 +88,44 @@ def solve_closed_form(scenario: Scenario) -> SolveReport:
         evaluation=_evaluation(scenario, v, ln_b),
         multiplier=-_exp_or_inf(ln_lam),
     )
+
+
+def _optimal_entries(
+    scenario: Scenario, alpha: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | float, np.ndarray | float]:
+    """The closed form's entries at attractiveness alpha, with the max and the
+    sum of exp(scaled alpha - max) that normalise its shares.
+
+    alpha is the scenario's (L,) vector, or (P, L) rows with the scenario's
+    betas and budget; rows give (P, n_entries) entries and a (P, 1) max and
+    sum, each row bit-identical to the closed form at that row's alpha.
+    Raises FloatingPointError naming the location whose entries underflow to
+    0.0, in the first row where they do.
+    """
+    rows = alpha.ndim > 1  # rows keep their axis to broadcast
+    scaled = alpha / (1.0 + scenario._local_beta_total)
+    top = scaled.max(axis=-1, keepdims=rows)
+    shares = np.exp(scaled - top)
+    weight_sum = shares.sum(axis=-1, keepdims=rows)
+    shares /= weight_sum
+
+    x = scenario._beta * scenario.budget / scenario._beta_total
+    if rows:
+        x = np.repeat(x[None], len(alpha), axis=0)
+    for column in _local_columns(scenario, x):
+        column *= shares
+    if not x.min() > 0.0:  # a share, or a local entry it scales, underflows
+        # The first row with a 0.0 entry, and in it the location with the smallest share.
+        p = int(np.argmin(x.reshape(-1, scenario.n_entries).min(axis=1)))
+        n_locations = len(scenario.locations)
+        shares, scaled = shares.reshape(-1, n_locations)[p], scaled.reshape(-1, n_locations)[p]
+        i = int(np.argmin(shares))
+        log_weight_sum = float(top.ravel()[p]) + math.log(weight_sum.ravel()[p])
+        raise FloatingPointError(
+            f"optimal entries of location {scenario.location_ids[i]!r} underflow to 0.0 "
+            f"(ln share {float(scaled[i]) - log_weight_sum:.6g})"
+        )
+    return x, top, weight_sum
 
 
 def cle_rule(scenario: Scenario, gamma: float) -> Allocation:
@@ -120,7 +141,7 @@ def cle_rule(scenario: Scenario, gamma: float) -> Allocation:
     n_pairs = len(scenario.locations) * len(scenario.local_resources)
     central_amount = gamma * r / len(scenario.central_resources)
     local_amount = (1.0 - gamma) * r / n_pairs
-    return _rule_allocation(scenario, local_amount, central_amount)
+    return Allocation._from_vector(scenario, _rule_entries(scenario, local_amount, central_amount))
 
 
 def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
@@ -142,19 +163,28 @@ def celp_rule(scenario: Scenario, gamma: float) -> Allocation:
             f"CELP would allocate nothing to location {scenario.location_ids[i]!r} "
             f"(alpha = {float(alpha[i])})"
         )
+    x = _celp_entries(scenario, gamma, alpha, scenario._alpha_total)
+    return Allocation._from_vector(scenario, x)
+
+
+def _celp_entries(scenario: Scenario, gamma: float, alpha: np.ndarray,
+                  alpha_total: float | np.ndarray) -> np.ndarray:
+    """CELP's entries at attractiveness alpha, whose sum is alpha_total: the
+    scenario's (L,) alpha, or (P, L) rows with a (P, 1) column of their sums."""
     r = scenario.budget
     per_resource = (1.0 - gamma) * r / len(scenario.local_resources)
     central_amount = gamma * r / len(scenario.central_resources)
-    return _rule_allocation(scenario, per_resource * (alpha / scenario._alpha_total), central_amount)
+    return _rule_entries(scenario, per_resource * (alpha / alpha_total), central_amount)
 
 
-def _rule_allocation(scenario: Scenario, local: float | np.ndarray, central: float) -> Allocation:
-    """Central on every central entry, and local[i] on each of location i's
-    local entries (or local on all of them, when it is one number)."""
-    x = np.full(scenario.n_entries, central)
+def _rule_entries(scenario: Scenario, local: float | np.ndarray, central: float) -> np.ndarray:
+    """Central on every central entry, and local[..., i] on each of location
+    i's local entries (or local on all of them, when it is one number); rows
+    of local (P, L) give rows of entries."""
+    x = np.full(getattr(local, "shape", ())[:-1] + (scenario.n_entries,), central)
     for column in _local_columns(scenario, x):
         column[:] = local
-    return Allocation._from_vector(scenario, x)
+    return x
 
 
 def _require_both_groups(scenario: Scenario, rule: str) -> None:
@@ -187,19 +217,25 @@ def best_gamma(
     rule = rule.lower()
     if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}, expected one of {tuple(RULES)}")
+    gamma = _tuned_gamma(scenario, grid)
+    return gamma, evaluate(scenario, RULES[rule](scenario, gamma))
+
+
+def _tuned_gamma(scenario: Scenario, grid: tuple[float, ...]) -> float:
+    """Both rules' best gamma on the grid (see :func:`best_gamma`); it depends on
+    the betas alone, so it holds for any alpha and budget. A bad grid raises."""
     gammas = _sorted_grid(tuple(map(float, grid)))
     central = math.fsum(b for _, b in scenario.central_resources)
     score = -central * np.log(gammas) - scenario._local_beta_total * np.log(1.0 - gammas)
-    gamma = float(gammas[np.argmin(score)])
-    return gamma, evaluate(scenario, RULES[rule](scenario, gamma))
+    return float(gammas[np.argmin(score)])
 
 
 @functools.lru_cache(maxsize=16)
 def _sorted_grid(grid: tuple[float, ...]) -> np.ndarray:
     """The checked grid in increasing order, read-only; argmin keeps the first minimum.
 
-    Checked and sorted once per distinct grid, since ``best_gamma`` runs on
-    the same grid for every row of a sweep.
+    Checked and sorted once per distinct grid, since every ``best_gamma`` and
+    sweep call tunes on the default grid unless told otherwise.
     """
     gammas = np.sort([_check_gamma(g) for g in grid])
     if not gammas.size:

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .allocator import DEFAULT_GAMMA_GRID, RULES, best_gamma, solve_closed_form
+from .allocator import DEFAULT_GAMMA_GRID, RULES, _check_gamma, best_gamma, solve_closed_form
 from .experiments import (
     DEFAULT_RULE_GAMMAS,
     ExperimentTable,
@@ -326,16 +326,28 @@ def _cmd_compare(scenario_file: ScenarioFile, args) -> _Result:
         if rule not in RULES:
             raise _UsageError(f"unknown rule {rule!r}")
     _distinct(rules, "--rules")
-    rows: list[tuple[str, Allocation]] = []
+    # A rule undefined on the file (no central or no local resource, or CELP
+    # with an alpha of 0) gets rows of nan cells, as in sweep.
+    rows: list[tuple[str, Allocation | None]] = []
     if args.gamma.strip().lower() == "grid":
         for rule in rules:
-            gamma, _ = best_gamma(scenario, rule, DEFAULT_GAMMA_GRID)
-            rows.append((f"{rule.upper()}(gamma*={gamma!r})", RULES[rule](scenario, gamma)))
+            try:
+                gamma, _ = best_gamma(scenario, rule, DEFAULT_GAMMA_GRID)
+                allocation = RULES[rule](scenario, gamma)
+            except ValueError:
+                gamma, allocation = math.nan, None
+            rows.append((f"{rule.upper()}(gamma*={gamma!r})", allocation))
     else:
+        # An unusable gamma is invalid input, whether or not its rule is defined.
         gammas = _distinct(_comma_floats(args.gamma, "--gamma"), "--gamma")
+        gammas = [_check_gamma(gamma) for gamma in gammas]
         for rule in rules:
             for gamma in gammas:
-                rows.append((f"{rule.upper()}({gamma!r})", RULES[rule](scenario, gamma)))
+                try:
+                    allocation = RULES[rule](scenario, gamma)
+                except ValueError:
+                    allocation = None
+                rows.append((f"{rule.upper()}({gamma!r})", allocation))
     return solution_table("compare", scenario, rows), EXIT_OK
 
 

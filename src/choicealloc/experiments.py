@@ -6,6 +6,14 @@ eiffel) with one central resource (an awareness campaign) and two local ones
 closed-form optimum against the CLE/CELP heuristics, sweep location
 attractiveness, scale attractiveness uniformly, and invert the budget needed
 to hold a target probability.
+
+The sweep and scaling tables vary only alpha, so they build no scenario per
+row: the closed form's kernel takes alpha with a leading row axis, and each
+allocation's utilities and overall probability are computed for all rows as
+(rows, locations) arrays. Both rules' best gamma depends on the betas alone,
+so one argmin serves every row of a sweep. The steps that are math.log and
+math.exp on one scenario stay so, once per row; every cell is bit-identical
+to solving a scenario with that row's alphas.
 """
 
 from __future__ import annotations
@@ -17,15 +25,27 @@ import sys
 from dataclasses import dataclass
 from typing import TextIO
 
+import numpy as np
+
 from .allocator import (
     DEFAULT_GAMMA_GRID,
-    _sorted_grid,
-    best_gamma,
+    _celp_entries,
+    _optimal_entries,
+    _tuned_gamma,
     celp_rule,
     cle_rule,
     solve_closed_form,
 )
-from .model import Allocation, Evaluation, Scenario, evaluate
+from .model import (
+    Allocation,
+    Evaluation,
+    Scenario,
+    _check_alphas,
+    _overall_rows,
+    _utilities,
+    _vector,
+    evaluate,
+)
 
 DEFAULT_RULE_GAMMAS: tuple[float, ...] = (0.25, 0.5, 0.75)
 
@@ -107,14 +127,10 @@ def _allocation_columns(scenario: Scenario) -> list[str]:
     return cols
 
 
-def _allocation_values(scenario: Scenario, allocation: Allocation) -> list[float]:
-    values = [allocation.central[res] for res in scenario.central_ids]
-    values += [
-        allocation.local[(loc, res)]
-        for res in scenario.local_ids
-        for loc in scenario.location_ids
-    ]
-    return values
+def _allocation_values(scenario: Scenario, entries: list[float]) -> list[float]:
+    """An allocation's entries, in the scenario's flat order, in column order."""
+    n_local, k = scenario._n_local, len(scenario.local_resources)
+    return entries[n_local:] + [v for j in range(k) for v in entries[j:n_local:k]]
 
 
 def _probability_columns(scenario: Scenario) -> list[str]:
@@ -128,18 +144,22 @@ def _probability_values(scenario: Scenario, evaluation: Evaluation) -> list[floa
 
 
 def solution_table(
-    name: str, scenario: Scenario, rows: list[tuple[str, Allocation]]
+    name: str, scenario: Scenario, rows: list[tuple[str, Allocation | None]]
 ) -> ExperimentTable:
     """One row per labelled allocation.
 
     Each row holds the allocation's entries, then the per-location and the
-    overall hit probabilities in percent.
+    overall hit probabilities in percent. A row whose allocation is None, as
+    for a rule that is undefined on the scenario, is nan in every cell.
     """
     columns = _allocation_columns(scenario) + _probability_columns(scenario)
     built = []
     for label, allocation in rows:
+        if allocation is None:
+            built.append((label, (math.nan,) * len(columns)))
+            continue
         evaluation = evaluate(scenario, allocation)
-        values = _allocation_values(scenario, allocation)
+        values = _allocation_values(scenario, _vector(scenario, allocation).tolist())
         values += _probability_values(scenario, evaluation)
         built.append((label, tuple(values)))
     return ExperimentTable(name=name, columns=tuple(columns), rows=tuple(built))
@@ -172,10 +192,16 @@ def attractiveness_sweep(
     The base scenario must have exactly two locations. alpha_pairs must be
     nonempty; each (a1, a2) pair, taken as floats, replaces their
     attractiveness and must sum to the sweep's fixed total of 10 so only the
-    asymmetry varies. Rows are labelled repr(a1). For every pair the
-    heuristics are tuned over the gamma grid, which must be valid in any case.
-    A rule's two cells are nan where it is undefined: both rules' without a
-    central or a local resource, CELP's where an alpha is 0.
+    asymmetry varies, and each alpha must be >= 0. Rows are labelled
+    repr(a1). The heuristics are tuned over the gamma grid, which must be
+    valid in any case. A rule's two cells are nan where it is undefined: both
+    rules' without a central or a local resource, CELP's where an alpha is 0.
+
+    Every row is the one a scenario with that row's alphas gives to
+    ``solve_closed_form`` and ``best_gamma``, bit for bit, but the rows are
+    computed together: the best gamma depends on the betas alone, so one
+    argmin serves every row and both rules, and each allocation's utilities
+    and probabilities run as (rows, locations) arrays.
     """
     base = base or paris_scenario()
     if len(base.locations) != 2:
@@ -188,25 +214,36 @@ def attractiveness_sweep(
     for a1, a2 in alpha_pairs:
         if not abs(a1 + a2 - 10.0) <= 1e-9:  # also rejects nan and inf
             raise ValueError(f"alpha pair ({a1}, {a2}) must sum to 10")
+    gamma = _tuned_gamma(base, grid)  # a bad grid raises here, even where no rule applies
+    for pair in alpha_pairs:
+        _check_alphas(zip(base.location_ids, pair))
 
-    _sorted_grid(tuple(map(float, grid)))  # a bad grid raises here, even where no rule applies
-    id1, id2 = base.location_ids
-
-    def tuned(scenario: Scenario, rule: str) -> tuple[float, float]:
-        try:  # the grid passed above, so only the rule's own domain can fail
-            gamma, evaluation = best_gamma(scenario, rule, grid)
+    alpha = np.array(alpha_pairs)
+    optimal = _overall_rows(_utilities(base, _optimal_entries(base, alpha)[0], alpha))
+    cle = [math.nan] * len(alpha)
+    celp = [math.nan] * len(alpha)
+    if base.central_resources and base.local_resources:
+        try:  # CLE's entries do not depend on alpha; they fail only by underflowing
+            cle = _overall_rows(_utilities(base, _vector(base, cle_rule(base, gamma)), alpha))
         except ValueError:
-            return math.nan, math.nan
-        return gamma, 100.0 * evaluation.overall
+            pass
+        # CELP is defined on the rows whose alphas are all > 0 and whose
+        # entries do not underflow; its alpha totals are fsums, as on a scenario.
+        defined = [p for p, pair in enumerate(alpha_pairs) if min(pair) > 0.0]
+        totals = np.array([[math.fsum(alpha_pairs[p])] for p in defined]).reshape(-1, 1)
+        x = _celp_entries(base, gamma, alpha[defined], totals)
+        kept = [i for i, least in enumerate(x.min(axis=1).tolist()) if least > 0.0]
+        defined = [defined[i] for i in kept]
+        for p, value in zip(defined, _overall_rows(_utilities(base, x[kept], alpha[defined]))):
+            celp[p] = value
 
-    def run(pair: tuple[float, float]) -> tuple[str, tuple[float, ...]]:
-        a1, a2 = pair
-        scenario = dataclasses.replace(base, locations=((id1, a1), (id2, a2)))
-        optimal = solve_closed_form(scenario).evaluation.overall
-        values = (a1, a2, 100.0 * optimal, *tuned(scenario, "cle"), *tuned(scenario, "celp"))
-        return repr(a1), values
+    def tuned(overall: float) -> tuple[float, float]:
+        return (math.nan, math.nan) if math.isnan(overall) else (gamma, 100.0 * overall)
 
-    rows = [run(pair) for pair in alpha_pairs]
+    rows = [
+        (repr(a1), (a1, a2, 100.0 * o, *tuned(c), *tuned(e)))
+        for (a1, a2), o, c, e in zip(alpha_pairs, optimal, cle, celp)
+    ]
     return ExperimentTable(
         name="attractiveness_sweep",
         columns=(
@@ -228,10 +265,12 @@ def attractiveness_scaling_table(
     """Optimal allocations as every location's attractiveness scales by k.
 
     scale_factors must be nonempty, and each k, taken as a float, finite and
-    >= 0; rows are labelled repr(k). Block totals (central, local, and each
-    local resource summed over locations) are emitted alongside; they are
-    invariant in k because the optimum splits the budget by sensitivities
-    alone.
+    >= 0, with every k * alpha finite; rows are labelled repr(k). Block totals
+    (central, local, and each local resource summed over locations) are
+    emitted alongside; they are invariant in k because the optimum splits the
+    budget by sensitivities alone. Each row is the one ``solve_closed_form``
+    gives a scenario with that row's alphas, bit for bit; the rows are solved
+    together as (rows, locations) arrays.
     """
     base = base or paris_scenario()
     scale_factors = tuple(float(k) for k in scale_factors)
@@ -240,6 +279,14 @@ def attractiveness_scaling_table(
     for k in scale_factors:
         if not (math.isfinite(k) and k >= 0.0):
             raise ValueError(f"scale factors must be finite and >= 0, got {k}")
+    with np.errstate(over="ignore"):
+        alpha = np.array(scale_factors)[:, None] * base._alpha
+    if not alpha.max() < math.inf:  # k * alpha overflows: name the first such row's location
+        p, i = divmod(int(np.argmax(alpha)), len(base.locations))
+        location, a = base.locations[i]
+        raise ValueError(
+            f"scale factor {scale_factors[p]} overflows the alpha of location {location!r} ({a})"
+        )
 
     columns = (
         ["k"]
@@ -247,28 +294,20 @@ def attractiveness_scaling_table(
         + ["overall%", "central_total", "local_total"]
         + [f"total[{res}]" for res in base.local_ids]
     )
-
-    def run(k: float) -> tuple[str, tuple[float, ...]]:
-        scaled = dataclasses.replace(
-            base, locations=tuple((loc, k * a) for loc, a in base.locations)
-        )
-        report = solve_closed_form(scaled)
-        allocation = report.allocation
-        central_total = sum(allocation.central.values())
-        local_total = sum(allocation.local.values())
-        per_resource = [
-            sum(allocation.local[(loc, res)] for loc in scaled.location_ids)
-            for res in scaled.local_ids
-        ]
+    x = _optimal_entries(base, alpha)[0]
+    overall = _overall_rows(_utilities(base, x, alpha))
+    n_local, n_resources = base._n_local, len(base.local_resources)
+    rows = []
+    for k, entries, o in zip(scale_factors, x.tolist(), overall):
+        local, central = entries[:n_local], entries[n_local:]
+        per_resource = [sum(local[j::n_resources]) for j in range(n_resources)]
         values = (
             [k]
-            + _allocation_values(scaled, allocation)
-            + [100.0 * report.evaluation.overall, central_total, local_total]
+            + _allocation_values(base, entries)
+            + [100.0 * o, sum(central), sum(local)]
             + per_resource
         )
-        return repr(k), tuple(values)
-
-    rows = [run(k) for k in scale_factors]
+        rows.append((repr(k), tuple(values)))
     return ExperimentTable(
         name="attractiveness_scaling", columns=tuple(columns), rows=tuple(rows)
     )

@@ -121,9 +121,7 @@ class Scenario:
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ScenarioError(f"ids must be distinct across all lists, got duplicates {dupes}")
-        for loc, alpha in self.locations:
-            if not math.isfinite(alpha) or alpha < 0:
-                raise ScenarioError(f"location {loc!r}: alpha must be finite and >= 0, got {alpha}")
+        _check_alphas(self.locations)
         for res, beta in self.local_resources + self.central_resources:
             if not math.isfinite(beta) or beta <= 0:
                 raise ScenarioError(f"resource {res!r}: beta must be finite and > 0, got {beta}")
@@ -192,6 +190,13 @@ class Scenario:
     @cached_property
     def _n_local(self) -> int:
         return len(self.locations) * len(self.local_resources)
+
+
+def _check_alphas(locations) -> None:
+    """Raise naming the first (id, alpha) pair whose alpha is not finite and >= 0."""
+    for loc, alpha in locations:
+        if not math.isfinite(alpha) or alpha < 0:
+            raise ScenarioError(f"location {loc!r}: alpha must be finite and >= 0, got {alpha}")
 
 
 class _Record:
@@ -379,23 +384,27 @@ def unflatten(scenario: Scenario, x: np.ndarray) -> Allocation:
     return Allocation._from_vector(scenario, x, POSITIVITY_FLOOR)
 
 
-def _local_columns(scenario: Scenario, per_entry: np.ndarray) -> np.ndarray:
-    """The (K, L) transposed view of a per-entry vector's (L, K) local block:
-    iterating it yields the K strided columns, column j holding local resource
-    j's entry at every location."""
-    return per_entry[: scenario._n_local].reshape(scenario._local_shape).T
+def _local_columns(scenario: Scenario, per_entry: np.ndarray):
+    """The K strided columns of a per-entry array's (..., L, K) local block,
+    column j holding local resource j's entry at every location; an array with
+    rows, (P, n_entries), gives (P, L) columns. One row's come from the
+    transposed (K, L) view, which is cheaper than indexing each column."""
+    shape = per_entry.shape[:-1] + scenario._local_shape
+    block = per_entry[..., : scenario._n_local].reshape(shape)
+    return block.T if block.ndim == 2 else [block[..., j] for j in range(block.shape[-1])]
 
 
 def _location_sums(scenario: Scenario, per_entry: np.ndarray) -> np.ndarray:
-    """Per location, the sum of a per-entry vector over the entries in its utility.
+    """Per location, the sum of a per-entry array over the entries in its
+    utility; one row of sums per row of the array.
 
     The local entries are added column by column from 0.0, which is the order
     numpy's row sum uses for rows shorter than 8; the central sum comes last.
     """
-    sums = np.zeros(len(scenario.locations))
+    sums = np.zeros(per_entry.shape[:-1] + (len(scenario.locations),))
     for column in _local_columns(scenario, per_entry):
         sums += column
-    sums += per_entry[scenario._n_local :].sum()
+    sums += per_entry[..., scenario._n_local :].sum(axis=-1, keepdims=per_entry.ndim > 1)
     return sums
 
 
@@ -411,17 +420,33 @@ def _transposed(scenario: Scenario, p: np.ndarray) -> np.ndarray:
     return a
 
 
-def _utilities(scenario: Scenario, x: np.ndarray) -> np.ndarray:
-    """Deterministic utilities V_i, which are also the log surrogate terms."""
+def _utilities(scenario: Scenario, x: np.ndarray, alpha: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic utilities V_i, which are also the log surrogate terms.
+
+    With alpha, at that attractiveness instead of the scenario's: rows of alpha
+    (P, L) or of x (P, n_entries) give one row of utilities each.
+    """
     terms = np.log(x)
     terms *= scenario._beta
-    return scenario._alpha - _location_sums(scenario, terms)
+    return (scenario._alpha if alpha is None else alpha) - _location_sums(scenario, terms)
 
 
 def _log_sum_exp(v: np.ndarray) -> float:
     """ln B = ln sum_i exp(V_i), shifted by the largest V so nothing overflows."""
     top = float(v.max())
     return top + math.log(float(np.exp(v - top).sum()))
+
+
+def _overall_rows(v: np.ndarray) -> list[float]:
+    """Per row of utilities v (P, L), the overall probability B / (1 + B) as
+    :func:`_log_sum_exp` and :func:`_evaluation` compute it for one row: the
+    numpy steps run on every row at once, and math.log and math.exp on each
+    row's float, so every value is bit-identical to the one-row path."""
+    top = v.max(axis=1)
+    sums = np.exp(v - top[:, None]).sum(axis=1)
+    ln_b = [t + math.log(s) for t, s in zip(top.tolist(), sums.tolist())]
+    ln_denom = np.logaddexp(0.0, ln_b).tolist()
+    return [math.exp(b - d) for b, d in zip(ln_b, ln_denom)]
 
 
 def _exp_or_inf(ln_value: float) -> float:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from choicealloc import (
@@ -12,6 +13,7 @@ from choicealloc import (
     Scenario,
     attractiveness_scaling_table,
     attractiveness_sweep,
+    best_gamma,
     budget_for_target,
     paris_scenario,
     rule_comparison_table,
@@ -41,6 +43,89 @@ def sweep_table():
 @pytest.fixture(scope="module")
 def scaling_table():
     return attractiveness_scaling_table((1.0, 1.1, 1.2, 1.3))
+
+
+def _random_base(rng, n_locations):
+    """Random locations, 0-3 local and 0-2 central resources (at least one) with
+    beta 0.05-10, and a budget 1e-3-1e4, log-uniform."""
+    n_local, n_central = int(rng.integers(0, 4)), int(rng.integers(0, 3))
+    if n_local == n_central == 0:
+        n_local = 1
+    betas = rng.uniform(0.05, 10.0, n_local + n_central).tolist()
+    return Scenario(
+        locations=tuple(
+            (f"l{i}", float(a)) for i, a in enumerate(rng.uniform(0.0, 8.0, n_locations))
+        ),
+        local_resources=tuple((f"r{j}", b) for j, b in enumerate(betas[:n_local])),
+        central_resources=tuple((f"c{j}", b) for j, b in enumerate(betas[n_local:])),
+        budget=float(10.0 ** rng.uniform(-3.0, 4.0)),
+    )
+
+
+def _assert_same_cells(values, expected, where):
+    """Equal cell by cell and of the same type, nan matching nan."""
+    assert len(values) == len(expected), where
+    for v, e in zip(values, expected):
+        assert type(v) is type(e) and (v == e or (math.isnan(v) and math.isnan(e))), (where, v, e)
+
+
+class TestTablesMatchThePerRowPath:
+    """The tables solve their rows together; each row must equal, bit for bit, what
+    solve_closed_form, best_gamma and evaluate give a scenario with its alphas."""
+
+    def test_sweep_rows(self):
+        rng = np.random.default_rng(41)
+        for case in range(120):
+            base = _random_base(rng, 2)
+            a1s = [0.0, 10.0, *rng.uniform(0.0, 10.0, 4).tolist()]
+            table = attractiveness_sweep(tuple((a1, 10.0 - a1) for a1 in a1s), base=base)
+            for (label, values), a1 in zip(table.rows, a1s):
+                scenario = dataclasses.replace(
+                    base, locations=((base.location_ids[0], a1), (base.location_ids[1], 10.0 - a1))
+                )
+                expected = [a1, 10.0 - a1, 100.0 * solve_closed_form(scenario).evaluation.overall]
+                for rule in ("cle", "celp"):
+                    try:
+                        gamma, evaluation = best_gamma(scenario, rule)
+                        expected += [gamma, 100.0 * evaluation.overall]
+                    except ValueError:
+                        expected += [math.nan, math.nan]
+                assert label == repr(a1)
+                _assert_same_cells(values, expected, (case, a1))
+
+    def test_scaling_rows(self):
+        rng = np.random.default_rng(43)
+        for case in range(120):
+            base = _random_base(rng, int(rng.integers(1, 9)))
+            factors = [0.0, 1.0, *rng.uniform(0.0, 3.0, 3).tolist()]
+            table = attractiveness_scaling_table(tuple(factors), base=base)
+            for (label, values), k in zip(table.rows, factors):
+                scenario = dataclasses.replace(
+                    base, locations=tuple((loc, k * a) for loc, a in base.locations)
+                )
+                report = solve_closed_form(scenario)
+                local, central = report.allocation.local, report.allocation.central
+                expected = [k, *central.values()]
+                expected += [
+                    local[(loc, res)] for res in base.local_ids for loc in base.location_ids
+                ]
+                expected += [100.0 * report.evaluation.overall, sum(central.values()),
+                             sum(local.values())]
+                expected += [sum(local[(loc, res)] for loc in base.location_ids)
+                             for res in base.local_ids]
+                assert label == repr(k)
+                _assert_same_cells(values, expected, (case, k))
+
+    def test_the_first_row_whose_entries_underflow_is_named(self):
+        # At k = 1e5 and 2e5 eiffel's share underflows; the k = 1e5 row is named.
+        base = paris_scenario()
+        scaled = dataclasses.replace(
+            base, locations=tuple((loc, 1e5 * a) for loc, a in base.locations)
+        )
+        with pytest.raises(FloatingPointError) as per_row:
+            solve_closed_form(scaled)
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(str(per_row.value))}$"):
+            attractiveness_scaling_table((1.0, 1e5, 2e5))
 
 
 class TestRuleComparison:

@@ -137,15 +137,26 @@ def test_tally_gives_a_tie_to_the_first_alternative():
 
 def test_counts_match_a_row_argmax_of_the_same_stream():
     # The reference draws every uniform at once and takes argmax along each
-    # draw's row. 2 to 12 alternatives; alpha up to 1500 puts utility gaps
-    # past 709, where exp(max V - V_k) overflows; up to 3.6e5 keys spans
-    # up to six chunks of 2**16 variates.
+    # draw's row. 2 to 12 alternatives, then races of 33, 41 and 301; alpha
+    # up to 1500 puts utility gaps past 709, where exp(max V - V_k)
+    # overflows; up to 3.6e5 keys spans up to six chunks of 2**16 variates,
+    # and a wide race up to four.
     rng = np.random.default_rng(13)
-    for case in range(40):
+    for case in range(46):
         top = (8.0, 60.0, 1500.0)[case % 3]
-        scenario = random_scenario(rng, max_locations=11, alpha_range=(0.0, top))
+        if case < 40:
+            scenario = random_scenario(rng, max_locations=11, alpha_range=(0.0, top))
+        else:
+            n = (32, 40, 300)[case % 3]
+            scenario = Scenario(
+                locations=tuple(
+                    (f"l{i}", float(a)) for i, a in enumerate(rng.uniform(0.0, top, n))
+                ),
+                local_resources=(("r", 1.0),), central_resources=(("c", 1.0),), budget=10.0,
+            )
         allocation = random_allocation(rng, scenario)
-        draws = int(rng.integers(1, 30_000))
+        per_chunk = simulate._CHUNK // (len(scenario.locations) + 1)
+        draws = int(rng.integers(1, 30_000 if case < 40 else 3 * per_chunk + 2))
         seed = int(rng.integers(0, 2**31))
         utilities = np.append(list(evaluate(scenario, allocation).utilities.values()), 0.0)
         with np.errstate(over="ignore"):
